@@ -4,23 +4,22 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
-#include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <future>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "core/scenario.h"
 #include "engine/fault.h"
+#include "engine/scenario_schema.h"
 #include "engine/sink.h"
 #include "engine/thread_pool.h"
 
@@ -29,56 +28,6 @@ namespace fs = std::filesystem;
 namespace manhattan::engine {
 
 namespace {
-
-// ------------------------------------------------------------- text utils --
-
-std::string hex64(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return {buf};
-}
-
-[[noreturn]] void corrupt(const std::string& what) {
-    throw error(errc::state, "fabric: " + what);
-}
-
-std::string next_token(std::istringstream& line, const std::string& what) {
-    std::string token;
-    if (!(line >> token)) {
-        corrupt("truncated line: missing " + what);
-    }
-    return token;
-}
-
-std::uint64_t parse_u64(const std::string& token, const std::string& what, int base = 10) {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(token, &used, base);
-        if (used != token.size()) {
-            corrupt("malformed " + what + " '" + token + "'");
-        }
-        return value;
-    } catch (const error&) {
-        throw;
-    } catch (const std::exception&) {
-        corrupt("malformed " + what + " '" + token + "'");
-    }
-}
-
-double parse_f64_bits(const std::string& token, const std::string& what) {
-    return std::bit_cast<double>(parse_u64(token, what, 16));
-}
-
-/// Parse an integer token into an enum, bounds-checked against the number
-/// of enumerators (a spec written by a newer engine must not alias).
-template <typename E>
-E parse_enum(const std::string& token, const std::string& what, std::uint64_t count) {
-    const std::uint64_t v = parse_u64(token, what);
-    if (v >= count) {
-        corrupt("out-of-range " + what + " '" + token + "'");
-    }
-    return static_cast<E>(v);
-}
 
 /// Whole file, or nullopt when it cannot be read (vanished, permissions).
 std::optional<std::string> slurp(const std::string& path) {
@@ -105,6 +54,14 @@ std::string batch_quarantine_path(const std::string& dir, std::size_t b) {
 std::string ledger_path(const std::string& dir, const std::string& owner) {
     return dir + "/ledger-" + owner + ".manifest";
 }
+/// A worker ledger's file name: "ledger-<owner>.manifest" exactly, never the
+/// ".manifest.tmp" atomic_write_file is still writing.
+bool is_ledger_name(const std::string& name) {
+    constexpr std::string_view prefix = "ledger-";
+    constexpr std::string_view suffix = ".manifest";
+    return name.size() > prefix.size() + suffix.size() && name.starts_with(prefix) &&
+           name.ends_with(suffix);
+}
 
 // -------------------------------------------------------------- lease file --
 
@@ -117,18 +74,12 @@ struct lease_info {
 /// nullopt and the claim logic falls back to mtime-only staleness — a
 /// garbage lease must never wedge the fabric.
 std::optional<lease_info> parse_lease(const std::string& text) {
-    std::istringstream in(text);
-    lease_info info;
-    std::string key;
-    if (!(in >> key) || key != "owner" || !(in >> info.owner)) {
+    try {
+        text_reader in(text, "lease");
+        return lease_info{in.keyed("owner"), in.keyed_u64("attempts")};
+    } catch (const manifest_error&) {
         return std::nullopt;
     }
-    unsigned long long attempts = 0;
-    if (!(in >> key) || key != "attempts" || !(in >> attempts)) {
-        return std::nullopt;
-    }
-    info.attempts = attempts;
-    return info;
 }
 
 /// Create \p path with O_CREAT|O_EXCL and write \p content durably.
@@ -336,8 +287,7 @@ std::vector<std::vector<std::uint8_t>> recorded_elsewhere(const std::string& dir
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
-        if (name.rfind("ledger-", 0) != 0 || name.find(".manifest") == std::string::npos ||
-            entry.path().string() == own) {
+        if (!is_ledger_name(name) || entry.path().string() == own) {
             continue;
         }
         try {
@@ -361,68 +311,79 @@ std::vector<std::vector<std::uint8_t>> recorded_elsewhere(const std::string& dir
 
 // ------------------------------------------------------------ spec on disk --
 
+namespace {
+
+/// Renders the schema word stream as point-line tokens: doubles as hex64
+/// bit patterns, every other word in decimal.
+struct point_tokens {
+    std::string& out;
+    void word(std::uint64_t bits, bool real) {
+        tag(real ? hex64(bits) : std::to_string(bits));
+    }
+    void tag(const std::string& token) { (out += ' ') += token; }
+};
+
+/// The inverse of point_tokens over a text_reader positioned on a point
+/// line. A value its field cannot hold (a street edge index past int32, an
+/// unknown enumerator) is a corrupt spec, never a silently narrowed one.
+class point_reader {
+ public:
+    explicit point_reader(text_reader& in) : in_(in) {}
+
+    template <typename T>
+    void field(const char* name, T& v) {
+        if constexpr (std::is_floating_point_v<T>) {
+            v = in_.parse_f64_bits(name);
+        } else if (const std::uint64_t raw = in_.parse_u64(name); !schema::from_word(raw, v)) {
+            in_.corrupt(std::string{"out-of-range "} + name + " " + std::to_string(raw));
+        }
+    }
+    template <typename F>
+    void group(const char*, const char* tag, F&& fn) {
+        if (tag != nullptr) {
+            in_.expect(tag);
+        }
+        fn();
+    }
+    template <typename T, typename F>
+    void list(const char* name, const char* tag, std::vector<T>& items, schema::layout,
+              std::size_t min_items, F&& fn) {
+        group(name, tag, [&] {
+            const std::uint64_t count = in_.parse_u64(std::string{name} + " count");
+            if (count < min_items) {
+                in_.corrupt(std::string{"too few "} + name + " items");
+            }
+            // Grown item by item: a corrupt count runs out of tokens, not memory.
+            items.clear();
+            for (std::uint64_t i = 0; i < count; ++i) {
+                fn(items.emplace_back());
+            }
+        });
+    }
+    template <typename F>
+    void block(const char*, const char* tag, bool, F&& fn) {
+        if (in_.accept(tag)) {
+            fn();
+        }
+    }
+    void tag(const char* tag) { in_.expect(tag); }
+
+ private:
+    text_reader& in_;
+};
+
+}  // namespace
+
 std::string serialize_fabric_spec(const fabric_spec& spec) {
     std::string out = "manhattan-fabric v1\nfingerprint " + hex64(spec.fingerprint) +
                       "\nrepetitions " + std::to_string(spec.repetitions) + "\nbatch " +
                       std::to_string(spec.batch) + "\npoints " +
                       std::to_string(spec.points.size()) + "\n";
-    const auto f = [](double v) { return hex64(std::bit_cast<std::uint64_t>(v)); };
-    const auto e = [](auto v) { return std::to_string(static_cast<std::uint64_t>(v)); };
     for (const auto& point : spec.points) {
-        const auto& sc = point.sc;
-        out += "point " + std::to_string(point.index) + ' ' +
-               std::to_string(sc.params.n) + ' ' + f(sc.params.side) + ' ' +
-               f(sc.params.radius) + ' ' + f(sc.params.speed) + ' ' + e(sc.model) + ' ' +
-               f(sc.model_opts.walk_step_radius) + ' ' +
-               f(sc.model_opts.direction_max_leg) + ' ' + e(sc.mode) + ' ' +
-               f(sc.gossip_p) + ' ' + e(sc.source) + ' ' + std::to_string(sc.seed) + ' ' +
-               (sc.stationary_start ? '1' : '0') + ' ' + f(sc.warmup_time) + ' ' +
-               std::to_string(sc.max_steps) + ' ' + (sc.record_timeline ? '1' : '0') +
-               ' ' + (sc.with_cell_partition ? '1' : '0');
-        // Optional blocks, emitted only when they carry data: pure-grid
-        // non-trace points serialize byte-for-byte as before (and older specs
-        // parse unchanged — the parser treats both blocks as optional).
-        if (!sc.topology.is_grid()) {
-            const auto edges = [&](const std::vector<geom::edge_ref>& list) {
-                std::string s = ' ' + std::to_string(list.size());
-                for (const geom::edge_ref& edge : list) {
-                    s += ' ' + std::to_string(edge.ax) + ' ' + std::to_string(edge.ay) +
-                         ' ' + std::to_string(edge.bx) + ' ' + std::to_string(edge.by);
-                }
-                return s;
-            };
-            out += " topo " + std::to_string(sc.topology.street.xs.size());
-            for (const double x : sc.topology.street.xs) {
-                out += ' ' + f(x);
-            }
-            out += ' ' + std::to_string(sc.topology.street.ys.size());
-            for (const double y : sc.topology.street.ys) {
-                out += ' ' + f(y);
-            }
-            out += edges(sc.topology.street.blocked) + edges(sc.topology.street.one_way);
-        }
-        if (sc.model == mobility::model_kind::trace_replay &&
-            sc.model_opts.trace != nullptr) {
-            out += " trace " + std::to_string(sc.model_opts.trace->size());
-            for (const geom::vec2& p : *sc.model_opts.trace) {
-                out += ' ' + f(p.x) + ' ' + f(p.y);
-            }
-        }
-        out += " stop " +
-               e(sc.spread.stop.how) + ' ' + f(sc.spread.stop.fraction) + ' ' +
-               std::to_string(sc.spread.stop.steps) + " messages " +
-               std::to_string(sc.spread.messages.size());
-        for (const auto& msg : sc.spread.messages) {
-            out += " src " + e(msg.sources.how) + ' ' + e(msg.sources.placement) + ' ' +
-                   std::to_string(msg.sources.count) + ' ' +
-                   std::to_string(msg.sources.ids.size());
-            for (const std::size_t id : msg.sources.ids) {
-                out += ' ' + std::to_string(id);
-            }
-            out += " msg " + std::to_string(msg.spawn_step) + ' ' + e(msg.mode) + ' ' +
-                   f(msg.gossip_p) + ' ' + std::to_string(msg.gossip_seed) + ' ' +
-                   std::to_string(msg.source_seed);
-        }
+        out += "point " + std::to_string(point.index);
+        point_tokens tokens{out};
+        schema::word_stream walk(tokens);
+        schema::visit_scenario(point.sc, walk);
         out += " label " + point.label + "\n";
     }
     out += "end " + std::to_string(spec.points.size()) + "\n";
@@ -430,199 +391,54 @@ std::string serialize_fabric_spec(const fabric_spec& spec) {
 }
 
 fabric_spec parse_fabric_spec(const std::string& text) {
-    std::istringstream in(text);
-    std::string line;
-
-    const auto expect_line = [&](const std::string& what) {
-        if (!std::getline(in, line)) {
-            corrupt("truncated spec: missing " + what);
-        }
-        return std::istringstream{line};
-    };
-    const auto keyed_value = [&](const std::string& key) {
-        auto fields = expect_line(key + " line");
-        if (next_token(fields, "key") != key) {
-            corrupt("expected '" + key + "' line, got '" + line + "'");
-        }
-        const std::string value = next_token(fields, key);
-        std::string extra;
-        if (fields >> extra) {
-            corrupt("trailing tokens on '" + key + "' line");
-        }
-        return value;
-    };
-
-    if (keyed_value("manhattan-fabric") != "v1") {
-        corrupt("unsupported spec format '" + line + "'");
+    text_reader in(text, "fabric");
+    if (const std::string format = in.keyed("manhattan-fabric"); format != "v1") {
+        in.corrupt("unsupported spec format '" + format + "'");
     }
     fabric_spec spec;
-    spec.fingerprint = parse_u64(keyed_value("fingerprint"), "fingerprint", 16);
-    spec.repetitions = parse_u64(keyed_value("repetitions"), "repetitions");
-    spec.batch = parse_u64(keyed_value("batch"), "batch");
-    const std::uint64_t count = parse_u64(keyed_value("points"), "points");
+    spec.fingerprint = in.keyed_u64("fingerprint", 16);
+    spec.repetitions = in.keyed_u64("repetitions");
+    spec.batch = in.keyed_u64("batch");
+    const std::uint64_t count = in.keyed_u64("points");
     if (spec.repetitions == 0 || spec.batch == 0) {
-        corrupt("repetitions and batch must be positive");
+        in.corrupt("repetitions and batch must be positive");
     }
 
-    bool ended = false;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        const std::string kind = next_token(fields, "line tag");
-        if (kind == "end") {
-            const std::uint64_t n = parse_u64(next_token(fields, "point count"),
-                                              "point count");
-            if (n != spec.points.size()) {
-                corrupt("point count mismatch: end says " + std::to_string(n) +
-                        ", spec holds " + std::to_string(spec.points.size()));
+    while (in.next_line()) {
+        if (in.accept("end")) {
+            const std::uint64_t n = in.parse_u64("point count");
+            if (n != spec.points.size() || n != count) {
+                in.corrupt("point count mismatch: header says " + std::to_string(count) +
+                           ", end says " + std::to_string(n) + ", spec holds " +
+                           std::to_string(spec.points.size()));
             }
-            ended = true;
-            std::string extra;
-            if (fields >> extra || std::getline(in, line)) {
-                corrupt("trailing content after 'end'");
+            in.end_text();
+            // The decisive integrity check: the parsed points must
+            // re-fingerprint to the stored value, or the spec was edited /
+            // truncated / written by an engine with different output semantics.
+            const std::uint64_t recomputed = sweep_fingerprint(spec.points, spec.repetitions);
+            if (recomputed != spec.fingerprint) {
+                in.corrupt("fingerprint mismatch: spec says " + hex64(spec.fingerprint) +
+                           ", parsed points re-fingerprint to " + hex64(recomputed) +
+                           " (corrupt spec or incompatible engine version)");
             }
-            break;
+            return spec;
         }
-        if (kind != "point") {
-            corrupt("unknown line '" + line + "'");
-        }
+        in.expect("point");
         sweep_point point;
-        point.index = parse_u64(next_token(fields, "index"), "index");
+        point.index = in.parse_u64("index");
         if (point.index != spec.points.size()) {
-            corrupt("points out of order: expected index " +
-                    std::to_string(spec.points.size()) + ", got " +
-                    std::to_string(point.index));
+            in.corrupt("points out of order: expected index " +
+                       std::to_string(spec.points.size()) + ", got " +
+                       std::to_string(point.index));
         }
-        auto& sc = point.sc;
-        sc.params.n = parse_u64(next_token(fields, "n"), "n");
-        sc.params.side = parse_f64_bits(next_token(fields, "side"), "side");
-        sc.params.radius = parse_f64_bits(next_token(fields, "radius"), "radius");
-        sc.params.speed = parse_f64_bits(next_token(fields, "speed"), "speed");
-        sc.model = parse_enum<mobility::model_kind>(next_token(fields, "model"),
-                                                    "model", 6);
-        sc.model_opts.walk_step_radius =
-            parse_f64_bits(next_token(fields, "walk_step_radius"), "walk_step_radius");
-        sc.model_opts.direction_max_leg = parse_f64_bits(
-            next_token(fields, "direction_max_leg"), "direction_max_leg");
-        sc.mode = parse_enum<core::propagation>(next_token(fields, "mode"), "mode", 3);
-        sc.gossip_p = parse_f64_bits(next_token(fields, "gossip_p"), "gossip_p");
-        sc.source = parse_enum<core::source_placement>(next_token(fields, "source"),
-                                                       "source", 6);
-        sc.seed = parse_u64(next_token(fields, "seed"), "seed");
-        sc.stationary_start =
-            parse_u64(next_token(fields, "stationary_start"), "stationary_start") != 0;
-        sc.warmup_time = parse_f64_bits(next_token(fields, "warmup_time"), "warmup_time");
-        sc.max_steps = parse_u64(next_token(fields, "max_steps"), "max_steps");
-        sc.record_timeline =
-            parse_u64(next_token(fields, "record_timeline"), "record_timeline") != 0;
-        sc.with_cell_partition = parse_u64(next_token(fields, "with_cell_partition"),
-                                           "with_cell_partition") != 0;
-        std::string tag = next_token(fields, "stop tag");
-        if (tag == "topo") {
-            // Optional street-topology block (absent for pure-grid points).
-            sc.topology.kind = geom::topology_kind::street_graph;
-            const auto axis = [&](const char* what) {
-                std::vector<double> values(parse_u64(next_token(fields, what), what));
-                for (double& v : values) {
-                    v = parse_f64_bits(next_token(fields, what), what);
-                }
-                return values;
-            };
-            const auto edges = [&](const char* what) {
-                std::vector<geom::edge_ref> list(parse_u64(next_token(fields, what), what));
-                for (geom::edge_ref& edge : list) {
-                    edge.ax = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                    edge.ay = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                    edge.bx = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                    edge.by = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                }
-                return list;
-            };
-            sc.topology.street.xs = axis("topo xs");
-            sc.topology.street.ys = axis("topo ys");
-            sc.topology.street.blocked = edges("topo blocked");
-            sc.topology.street.one_way = edges("topo one_way");
-            tag = next_token(fields, "stop tag");
-        }
-        if (tag == "trace") {
-            // Optional replay tour (trace_replay points only).
-            std::vector<geom::vec2> tour(
-                parse_u64(next_token(fields, "trace count"), "trace count"));
-            for (geom::vec2& p : tour) {
-                p.x = parse_f64_bits(next_token(fields, "trace x"), "trace x");
-                p.y = parse_f64_bits(next_token(fields, "trace y"), "trace y");
-            }
-            sc.model_opts.trace =
-                std::make_shared<const std::vector<geom::vec2>>(std::move(tour));
-            tag = next_token(fields, "stop tag");
-        }
-        if (tag != "stop") {
-            corrupt("expected 'stop' on point line '" + line + "'");
-        }
-        sc.spread.stop.how = parse_enum<core::stop_rule::kind>(
-            next_token(fields, "stop kind"), "stop kind", 4);
-        sc.spread.stop.fraction =
-            parse_f64_bits(next_token(fields, "stop fraction"), "stop fraction");
-        sc.spread.stop.steps = parse_u64(next_token(fields, "stop steps"), "stop steps");
-        if (next_token(fields, "messages tag") != "messages") {
-            corrupt("expected 'messages' on point line '" + line + "'");
-        }
-        const std::uint64_t messages = parse_u64(next_token(fields, "message count"),
-                                                 "message count");
-        for (std::uint64_t m = 0; m < messages; ++m) {
-            if (next_token(fields, "src tag") != "src") {
-                corrupt("expected 'src' on point line '" + line + "'");
-            }
-            core::message_spec msg;
-            msg.sources.how = parse_enum<core::source_spec::kind>(
-                next_token(fields, "source kind"), "source kind", 3);
-            msg.sources.placement = parse_enum<core::source_placement>(
-                next_token(fields, "source placement"), "source placement", 6);
-            msg.sources.count = parse_u64(next_token(fields, "source count"),
-                                          "source count");
-            const std::uint64_t ids = parse_u64(next_token(fields, "source id count"),
-                                                "source id count");
-            for (std::uint64_t i = 0; i < ids; ++i) {
-                msg.sources.ids.push_back(
-                    parse_u64(next_token(fields, "source id"), "source id"));
-            }
-            if (next_token(fields, "msg tag") != "msg") {
-                corrupt("expected 'msg' on point line '" + line + "'");
-            }
-            msg.spawn_step = parse_u64(next_token(fields, "spawn_step"), "spawn_step");
-            msg.mode = parse_enum<core::propagation>(next_token(fields, "message mode"),
-                                                     "message mode", 3);
-            msg.gossip_p =
-                parse_f64_bits(next_token(fields, "message gossip_p"), "message gossip_p");
-            msg.gossip_seed = parse_u64(next_token(fields, "gossip_seed"), "gossip_seed");
-            msg.source_seed = parse_u64(next_token(fields, "source_seed"), "source_seed");
-            sc.spread.messages.push_back(std::move(msg));
-        }
-        if (next_token(fields, "label tag") != "label") {
-            corrupt("expected 'label' on point line '" + line + "'");
-        }
-        std::getline(fields, point.label);
-        if (!point.label.empty() && point.label.front() == ' ') {
-            point.label.erase(0, 1);
-        }
+        point_reader reader(in);
+        schema::visit_scenario(point.sc, reader);
+        in.expect("label");
+        point.label = in.rest();
         spec.points.push_back(std::move(point));
     }
-    if (!ended) {
-        corrupt("truncated spec: missing 'end' line");
-    }
-    if (spec.points.size() != count) {
-        corrupt("point count mismatch: header says " + std::to_string(count) +
-                ", spec holds " + std::to_string(spec.points.size()));
-    }
-    // The decisive integrity check: the parsed points must re-fingerprint to
-    // the stored value, or the spec was edited / truncated / written by an
-    // engine with different output semantics.
-    const std::uint64_t recomputed = sweep_fingerprint(spec.points, spec.repetitions);
-    if (recomputed != spec.fingerprint) {
-        corrupt("fingerprint mismatch: spec says " + hex64(spec.fingerprint) +
-                ", parsed points re-fingerprint to " + hex64(recomputed) +
-                " (corrupt spec or incompatible engine version)");
-    }
-    return spec;
+    in.corrupt("truncated spec: missing 'end' line");
 }
 
 fabric_spec init_fabric(const std::string& dir, const sweep_spec& spec, std::size_t batch) {
@@ -915,8 +731,7 @@ fabric_merge merge_fabric(const std::string& dir, const fabric_spec& spec) {
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
-        if (name.rfind("ledger-", 0) == 0 && name.size() > 9 &&
-            name.compare(name.size() - 9, 9, ".manifest") == 0) {
+        if (is_ledger_name(name)) {
             ledgers.push_back(entry.path().string());
         }
     }

@@ -88,7 +88,8 @@ struct fabric_spec {
     }
 };
 
-/// Serialize / parse the sweep.spec text format (docs/FABRIC.md). Doubles
+/// Serialize / parse the sweep.spec text format (docs/FABRIC.md); each point
+/// line is a walk of the scenario schema (engine/scenario_schema.h). Doubles
 /// are IEEE-754 bit patterns, so the round trip is exact and the parsed
 /// spec re-fingerprints to the stored value — parse_fabric_spec verifies
 /// that and throws engine::error (class state) on any disagreement (a spec

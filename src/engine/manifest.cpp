@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 
 #include "core/scenario.h"
 #include "engine/fault.h"
+#include "engine/scenario_schema.h"
 
 namespace manhattan::engine {
 
@@ -27,144 +27,78 @@ std::uint64_t mix(std::uint64_t z) {
     return z ^ (z >> 31);
 }
 
+/// The fingerprint: every word of the schema word stream folded through
+/// mix(); tags feed nothing.
 class fingerprint_hasher {
  public:
-    void u64(std::uint64_t v) { state_ = mix(state_ ^ v); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void boolean(bool v) { u64(v ? 1 : 0); }
+    void word(std::uint64_t v, bool = false) { state_ = mix(state_ ^ v); }
+    void tag(const char*) {}
     [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
 
  private:
     std::uint64_t state_ = 0x6d616e6966657374ULL;  // "manifest"
 };
 
-/// Topology contribution to the fingerprint. A pure manhattan_grid spec
-/// feeds *nothing* — its fingerprint is bit-for-bit what it was before
-/// topologies existed, so pre-existing manifests, result caches and
-/// BENCH_flood.json baselines stay valid (docs/TOPOLOGY.md pins the rule;
-/// topology_spec::validate keeps it sound by rejecting street data attached
-/// to a grid spec).
-void hash_topology(fingerprint_hasher& h, const geom::topology_spec& topology) {
-    if (topology.is_grid()) {
-        return;
-    }
-    h.u64(static_cast<std::uint64_t>(topology.kind));
-    const geom::street_graph_spec& st = topology.street;
-    h.u64(st.xs.size());
-    for (const double x : st.xs) {
-        h.f64(x);
-    }
-    h.u64(st.ys.size());
-    for (const double y : st.ys) {
-        h.f64(y);
-    }
-    h.u64(st.blocked.size());
-    for (const geom::edge_ref& e : st.blocked) {
-        h.u64(static_cast<std::uint64_t>(e.ax));
-        h.u64(static_cast<std::uint64_t>(e.ay));
-        h.u64(static_cast<std::uint64_t>(e.bx));
-        h.u64(static_cast<std::uint64_t>(e.by));
-    }
-    h.u64(st.one_way.size());
-    for (const geom::edge_ref& e : st.one_way) {
-        h.u64(static_cast<std::uint64_t>(e.ax));
-        h.u64(static_cast<std::uint64_t>(e.ay));
-        h.u64(static_cast<std::uint64_t>(e.bx));
-        h.u64(static_cast<std::uint64_t>(e.by));
-    }
-}
+/// One scenario flattened to its schema words, each with its path
+/// ("stop.how", "messages[1].sources.ids[0].id") and its rendering. Doubles
+/// render as bit patterns: the fingerprint hashes bits, so two values that
+/// print alike but differ in the last ulp are a real difference. Optional
+/// blocks add a presence word (the hash needs none: absence feeds nothing).
+class word_recorder {
+ public:
+    struct entry {
+        std::string path;
+        std::uint64_t bits;
+        std::string shown;
+    };
+    std::vector<entry> words;
 
-void hash_source_spec(fingerprint_hasher& h, const core::source_spec& spec) {
-    h.u64(static_cast<std::uint64_t>(spec.how));
-    h.u64(static_cast<std::uint64_t>(spec.placement));
-    h.u64(spec.count);
-    h.u64(spec.ids.size());
-    for (const std::size_t id : spec.ids) {
-        h.u64(id);
+    template <typename T>
+    void field(const char* name, T v) {
+        const std::uint64_t bits = schema::word_of(v);
+        std::string shown = std::is_floating_point_v<T> ? hex64(bits) : std::to_string(bits);
+        if constexpr (std::is_enum_v<T>) {
+            if (const char* label = schema::name_of(v)) {
+                shown = label;
+            }
+        }
+        words.push_back({path(name), bits, std::move(shown)});
     }
-}
-
-/// Every output-affecting scenario field. intra_threads is excluded by
-/// contract (wall-clock-only knob; resuming at another thread count is
-/// legal) — keep this in sync with the header comment and docs/ENGINE.md.
-void hash_scenario(fingerprint_hasher& h, const core::scenario& sc) {
-    h.u64(sc.params.n);
-    h.f64(sc.params.side);
-    h.f64(sc.params.radius);
-    h.f64(sc.params.speed);
-    hash_topology(h, sc.topology);
-    h.u64(static_cast<std::uint64_t>(sc.model));
-    h.f64(sc.model_opts.walk_step_radius);
-    h.f64(sc.model_opts.direction_max_leg);
-    // The replay tour affects output only under the (new) trace_replay kind,
-    // so gating it keeps every pre-existing fingerprint byte-stable.
-    if (sc.model == mobility::model_kind::trace_replay && sc.model_opts.trace != nullptr) {
-        h.u64(sc.model_opts.trace->size());
-        for (const geom::vec2& p : *sc.model_opts.trace) {
-            h.f64(p.x);
-            h.f64(p.y);
+    template <typename F>
+    void group(const char* name, const char*, F&& fn) {
+        nested(path(name), fn);
+    }
+    template <typename T, typename F>
+    void list(const char* name, const char*, const std::vector<T>& items, schema::layout,
+              std::size_t, F&& fn) {
+        const std::string base = path(name);
+        words.push_back({base + ".size", items.size(), std::to_string(items.size())});
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            nested(base + "[" + std::to_string(i) + "]", [&] { fn(items[i]); });
         }
     }
-    h.u64(static_cast<std::uint64_t>(sc.mode));
-    h.f64(sc.gossip_p);
-    h.u64(static_cast<std::uint64_t>(sc.source));
-    h.u64(sc.seed);
-    h.boolean(sc.stationary_start);
-    h.f64(sc.warmup_time);
-    h.u64(sc.max_steps);
-    h.boolean(sc.record_timeline);
-    h.boolean(sc.with_cell_partition);
-    h.u64(static_cast<std::uint64_t>(sc.spread.stop.how));
-    h.f64(sc.spread.stop.fraction);
-    h.u64(sc.spread.stop.steps);
-    h.u64(sc.spread.messages.size());
-    for (const auto& msg : sc.spread.messages) {
-        hash_source_spec(h, msg.sources);
-        h.u64(msg.spawn_step);
-        h.u64(static_cast<std::uint64_t>(msg.mode));
-        h.f64(msg.gossip_p);
-        h.u64(msg.gossip_seed);
-        h.u64(msg.source_seed);
-    }
-}
-
-std::string hex64(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return {buf};
-}
-
-[[noreturn]] void corrupt(const std::string& what) {
-    throw manifest_error("manifest: " + what);
-}
-
-/// Next whitespace token of \p line; throws on exhaustion.
-std::string next_token(std::istringstream& line, const std::string& what) {
-    std::string token;
-    if (!(line >> token)) {
-        corrupt("truncated record: missing " + what);
-    }
-    return token;
-}
-
-std::uint64_t parse_u64(const std::string& token, const std::string& what, int base = 10) {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(token, &used, base);
-        if (used != token.size()) {
-            corrupt("malformed " + what + " '" + token + "'");
+    template <typename F>
+    void block(const char* name, const char*, bool present, F&& fn) {
+        words.push_back({path(name), present, present ? "present" : "absent"});
+        if (present) {
+            fn();
         }
-        return value;
-    } catch (const manifest_error&) {
-        throw;
-    } catch (const std::exception&) {
-        corrupt("malformed " + what + " '" + token + "'");
     }
-}
+    void tag(const char*) {}
 
-double parse_f64_bits(const std::string& token, const std::string& what) {
-    return std::bit_cast<double>(parse_u64(token, what, 16));
-}
+ private:
+    [[nodiscard]] std::string path(const char* name) const {
+        return prefix_.empty() ? name : prefix_ + "." + name;
+    }
+    template <typename F>
+    void nested(std::string prefix, F&& fn) {
+        std::swap(prefix_, prefix);
+        fn();
+        std::swap(prefix_, prefix);
+    }
+
+    std::string prefix_;
+};
 
 }  // namespace
 
@@ -173,13 +107,15 @@ std::vector<std::vector<const replica_record*>> run_manifest::by_point() const {
         points, std::vector<const replica_record*>(repetitions, nullptr));
     for (const auto& rec : records) {
         if (rec.point >= points || rec.replica >= repetitions) {
-            corrupt("record (" + std::to_string(rec.point) + ", " +
-                    std::to_string(rec.replica) + ") outside the " + std::to_string(points) +
-                    " x " + std::to_string(repetitions) + " grid");
+            throw manifest_error("manifest: record (" + std::to_string(rec.point) + ", " +
+                                 std::to_string(rec.replica) + ") outside the " +
+                                 std::to_string(points) + " x " + std::to_string(repetitions) +
+                                 " grid");
         }
         if (table[rec.point][rec.replica] != nullptr) {
-            corrupt("duplicate record for point " + std::to_string(rec.point) + " replica " +
-                    std::to_string(rec.replica));
+            throw manifest_error("manifest: duplicate record for point " +
+                                 std::to_string(rec.point) + " replica " +
+                                 std::to_string(rec.replica));
         }
         table[rec.point][rec.replica] = &rec;
     }
@@ -193,12 +129,13 @@ bool run_manifest::complete() const {
 std::uint64_t sweep_fingerprint(std::span<const sweep_point> points,
                                 std::size_t repetitions) {
     fingerprint_hasher h;
-    h.u64(run_manifest::format_version);
-    h.u64(engine_output_version);
-    h.u64(repetitions);
-    h.u64(points.size());
+    h.word(run_manifest::format_version);
+    h.word(engine_output_version);
+    h.word(repetitions);
+    h.word(points.size());
+    schema::word_stream walk(h);
     for (const auto& point : points) {
-        hash_scenario(h, point.sc);
+        schema::visit_scenario(point.sc, walk);
     }
     return h.value();
 }
@@ -207,195 +144,37 @@ std::uint64_t sweep_fingerprint(const sweep_spec& spec) {
     return sweep_fingerprint(spec.expand(), spec.repetitions);
 }
 
-std::string fingerprint_hex(std::uint64_t fingerprint) { return hex64(fingerprint); }
-
-namespace {
-
-/// Field-by-field comparison helpers for first_spec_difference. Doubles are
-/// compared (and rendered) as bit patterns: the fingerprint hashes bits, so
-/// two values that print alike but differ in the last ulp are a real
-/// difference and must be reported as one.
-struct diff_finder {
-    std::string found;  ///< first difference, empty while none
-
-    bool u64(const char* name, std::uint64_t a, std::uint64_t b) {
-        if (!found.empty() || a == b) {
-            return !found.empty();
-        }
-        found = std::string{name} + " (" + std::to_string(a) + " vs " +
-                std::to_string(b) + ")";
-        return true;
-    }
-
-    bool f64(const char* name, double a, double b) {
-        const std::uint64_t bits_a = std::bit_cast<std::uint64_t>(a);
-        const std::uint64_t bits_b = std::bit_cast<std::uint64_t>(b);
-        if (!found.empty() || bits_a == bits_b) {
-            return !found.empty();
-        }
-        found = std::string{name} + " (" + hex64(bits_a) + " vs " + hex64(bits_b) + ")";
-        return true;
-    }
-
-    bool boolean(const char* name, bool a, bool b) {
-        return u64(name, a ? 1 : 0, b ? 1 : 0);
-    }
-};
-
-bool diff_source_spec(diff_finder& d, const core::source_spec& a,
-                      const core::source_spec& b) {
-    if (d.u64("sources.how", static_cast<std::uint64_t>(a.how),
-              static_cast<std::uint64_t>(b.how)) ||
-        d.u64("sources.placement", static_cast<std::uint64_t>(a.placement),
-              static_cast<std::uint64_t>(b.placement)) ||
-        d.u64("sources.count", a.count, b.count) ||
-        d.u64("sources.ids.size", a.ids.size(), b.ids.size())) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.ids.size(); ++i) {
-        if (d.u64("sources.ids", a.ids[i], b.ids[i])) {
-            return true;
-        }
-    }
-    return false;
+std::string hex64(std::uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+    return {buf};
 }
-
-bool diff_edges(diff_finder& d, const char* name, const std::vector<geom::edge_ref>& a,
-                const std::vector<geom::edge_ref>& b) {
-    if (d.u64((std::string{name} + ".size").c_str(), a.size(), b.size())) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (d.u64(name, static_cast<std::uint64_t>(a[i].ax),
-                  static_cast<std::uint64_t>(b[i].ax)) ||
-            d.u64(name, static_cast<std::uint64_t>(a[i].ay),
-                  static_cast<std::uint64_t>(b[i].ay)) ||
-            d.u64(name, static_cast<std::uint64_t>(a[i].bx),
-                  static_cast<std::uint64_t>(b[i].bx)) ||
-            d.u64(name, static_cast<std::uint64_t>(a[i].by),
-                  static_cast<std::uint64_t>(b[i].by))) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/// Mirrors hash_topology: grid-vs-grid contributes nothing, everything else
-/// compares the full street plan.
-bool diff_topology(diff_finder& d, const geom::topology_spec& a,
-                   const geom::topology_spec& b) {
-    if (d.u64("topology.kind", static_cast<std::uint64_t>(a.kind),
-              static_cast<std::uint64_t>(b.kind))) {
-        return true;
-    }
-    if (a.is_grid()) {
-        return false;
-    }
-    if (d.u64("topology.xs.size", a.street.xs.size(), b.street.xs.size()) ||
-        d.u64("topology.ys.size", a.street.ys.size(), b.street.ys.size())) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.street.xs.size(); ++i) {
-        if (d.f64("topology.xs", a.street.xs[i], b.street.xs[i])) {
-            return true;
-        }
-    }
-    for (std::size_t i = 0; i < a.street.ys.size(); ++i) {
-        if (d.f64("topology.ys", a.street.ys[i], b.street.ys[i])) {
-            return true;
-        }
-    }
-    return diff_edges(d, "topology.blocked", a.street.blocked, b.street.blocked) ||
-           diff_edges(d, "topology.one_way", a.street.one_way, b.street.one_way);
-}
-
-bool diff_trace(diff_finder& d, const core::scenario& a, const core::scenario& b) {
-    if (a.model != mobility::model_kind::trace_replay) {
-        return false;
-    }
-    const auto* ta = a.model_opts.trace.get();
-    const auto* tb = b.model_opts.trace.get();
-    if (d.u64("trace.size", ta != nullptr ? ta->size() : 0, tb != nullptr ? tb->size() : 0)) {
-        return true;
-    }
-    if (ta == nullptr || tb == nullptr) {
-        return false;
-    }
-    for (std::size_t i = 0; i < ta->size(); ++i) {
-        if (d.f64("trace.x", (*ta)[i].x, (*tb)[i].x) ||
-            d.f64("trace.y", (*ta)[i].y, (*tb)[i].y)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/// Mirrors hash_scenario field for field — keep the two walks in sync.
-bool diff_scenario(diff_finder& d, const core::scenario& a, const core::scenario& b) {
-    if (diff_topology(d, a.topology, b.topology)) {
-        return true;
-    }
-    if (d.u64("n", a.params.n, b.params.n) ||
-        d.f64("side", a.params.side, b.params.side) ||
-        d.f64("radius", a.params.radius, b.params.radius) ||
-        d.f64("speed", a.params.speed, b.params.speed) ||
-        d.u64("model", static_cast<std::uint64_t>(a.model),
-              static_cast<std::uint64_t>(b.model)) ||
-        d.f64("walk_step_radius", a.model_opts.walk_step_radius,
-              b.model_opts.walk_step_radius) ||
-        d.f64("direction_max_leg", a.model_opts.direction_max_leg,
-              b.model_opts.direction_max_leg) ||
-        d.u64("mode", static_cast<std::uint64_t>(a.mode),
-              static_cast<std::uint64_t>(b.mode)) ||
-        d.f64("gossip_p", a.gossip_p, b.gossip_p) ||
-        d.u64("source", static_cast<std::uint64_t>(a.source),
-              static_cast<std::uint64_t>(b.source)) ||
-        d.u64("seed", a.seed, b.seed) ||
-        d.boolean("stationary_start", a.stationary_start, b.stationary_start) ||
-        d.f64("warmup_time", a.warmup_time, b.warmup_time) ||
-        d.u64("max_steps", a.max_steps, b.max_steps) ||
-        d.boolean("record_timeline", a.record_timeline, b.record_timeline) ||
-        d.boolean("with_cell_partition", a.with_cell_partition, b.with_cell_partition) ||
-        d.u64("stop.how", static_cast<std::uint64_t>(a.spread.stop.how),
-              static_cast<std::uint64_t>(b.spread.stop.how)) ||
-        d.f64("stop.fraction", a.spread.stop.fraction, b.spread.stop.fraction) ||
-        d.u64("stop.steps", a.spread.stop.steps, b.spread.stop.steps) ||
-        d.u64("messages.size", a.spread.messages.size(), b.spread.messages.size())) {
-        return true;
-    }
-    if (diff_trace(d, a, b)) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.spread.messages.size(); ++i) {
-        const auto& ma = a.spread.messages[i];
-        const auto& mb = b.spread.messages[i];
-        if (diff_source_spec(d, ma.sources, mb.sources) ||
-            d.u64("spawn_step", ma.spawn_step, mb.spawn_step) ||
-            d.u64("message.mode", static_cast<std::uint64_t>(ma.mode),
-                  static_cast<std::uint64_t>(mb.mode)) ||
-            d.f64("message.gossip_p", ma.gossip_p, mb.gossip_p) ||
-            d.u64("gossip_seed", ma.gossip_seed, mb.gossip_seed) ||
-            d.u64("source_seed", ma.source_seed, mb.source_seed)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-}  // namespace
 
 std::string first_spec_difference(std::span<const sweep_point> a,
                                   std::size_t repetitions_a,
                                   std::span<const sweep_point> b,
                                   std::size_t repetitions_b) {
-    diff_finder d;
-    if (d.u64("repetitions", repetitions_a, repetitions_b) ||
-        d.u64("points", a.size(), b.size())) {
-        return d.found;
+    const auto differ = [](const char* name, std::size_t x, std::size_t y) {
+        return std::string{name} + " (" + std::to_string(x) + " vs " + std::to_string(y) + ")";
+    };
+    if (repetitions_a != repetitions_b) {
+        return differ("repetitions", repetitions_a, repetitions_b);
+    }
+    if (a.size() != b.size()) {
+        return differ("points", a.size(), b.size());
     }
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (diff_scenario(d, a[i].sc, b[i].sc)) {
-            return "point " + std::to_string(i) + ": " + d.found;
+        word_recorder wa;
+        word_recorder wb;
+        schema::visit_scenario(a[i].sc, wa);
+        schema::visit_scenario(b[i].sc, wb);
+        // Both walks take the same shape until a count or presence word
+        // differs, and that word is then the first difference.
+        for (std::size_t w = 0; w < wa.words.size() && w < wb.words.size(); ++w) {
+            if (wa.words[w].bits != wb.words[w].bits) {
+                return "point " + std::to_string(i) + ": " + wa.words[w].path + " (" +
+                       wa.words[w].shown + " vs " + wb.words[w].shown + ")";
+            }
         }
     }
     return {};
@@ -465,95 +244,51 @@ std::string serialize_manifest(const run_manifest& manifest) {
 }
 
 run_manifest parse_manifest(const std::string& text) {
-    std::istringstream in(text);
-    std::string line;
-
-    const auto expect_line = [&](const std::string& what) {
-        if (!std::getline(in, line)) {
-            corrupt("truncated file: missing " + what);
-        }
-        return std::istringstream{line};
-    };
-    const auto keyed_value = [&](const std::string& key) {
-        auto fields = expect_line(key + " line");
-        if (next_token(fields, "key") != key) {
-            corrupt("expected '" + key + "' line, got '" + line + "'");
-        }
-        const std::string value = next_token(fields, key);
-        std::string extra;
-        if (fields >> extra) {
-            corrupt("trailing tokens on '" + key + "' line");
-        }
-        return value;
-    };
-
+    text_reader in(text, "manifest");
     std::string version = "v";  // split concat: GCC 12 -Wrestrict false positive
     version += std::to_string(run_manifest::format_version);
-    if (keyed_value("manhattan-manifest") != version) {
-        corrupt("unsupported format '" + line + "'");
+    if (const std::string found = in.keyed("manhattan-manifest"); found != version) {
+        in.corrupt("unsupported format '" + found + "'");
     }
     run_manifest manifest;
-    manifest.fingerprint = parse_u64(keyed_value("fingerprint"), "fingerprint", 16);
-    manifest.points = parse_u64(keyed_value("points"), "points");
-    manifest.repetitions = parse_u64(keyed_value("repetitions"), "repetitions");
+    manifest.fingerprint = in.keyed_u64("fingerprint", 16);
+    manifest.points = in.keyed_u64("points");
+    manifest.repetitions = in.keyed_u64("repetitions");
 
-    bool ended = false;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        const std::string kind = next_token(fields, "record tag");
-        if (kind == "end") {
-            const std::uint64_t count = parse_u64(next_token(fields, "record count"),
-                                                  "record count");
+    while (in.next_line()) {
+        if (in.accept("end")) {
+            const std::uint64_t count = in.parse_u64("record count");
             if (count != manifest.records.size()) {
-                corrupt("record count mismatch: end says " + std::to_string(count) +
-                        ", file holds " + std::to_string(manifest.records.size()));
+                in.corrupt("record count mismatch: end says " + std::to_string(count) +
+                           ", file holds " + std::to_string(manifest.records.size()));
             }
-            ended = true;
-            std::string extra;
-            if (fields >> extra || std::getline(in, line)) {
-                corrupt("trailing content after 'end'");
-            }
-            break;
+            in.end_text();
+            (void)manifest.by_point();  // range/duplicate validation
+            return manifest;
         }
-        if (kind != "record") {
-            corrupt("unknown line '" + line + "'");
-        }
+        in.expect("record");
         replica_record rec;
-        rec.point = parse_u64(next_token(fields, "point"), "point");
-        rec.replica = parse_u64(next_token(fields, "replica"), "replica");
-        rec.stat.time = parse_f64_bits(next_token(fields, "time"), "time");
-        rec.stat.completed = parse_u64(next_token(fields, "completed"), "completed") != 0;
-        const std::string cz = next_token(fields, "cz_step");
-        if (cz != "-") {
-            rec.stat.cz_step = parse_u64(cz, "cz_step");
+        rec.point = in.parse_u64("point");
+        rec.replica = in.parse_u64("replica");
+        rec.stat.time = in.parse_f64_bits("time");
+        rec.stat.completed = in.parse_u64("completed") != 0;
+        if (!in.accept("-")) {
+            rec.stat.cz_step = in.parse_u64("cz_step");
         }
-        rec.stat.suburb_diameter =
-            parse_f64_bits(next_token(fields, "suburb_diameter"), "suburb_diameter");
-        rec.stat.wall_seconds =
-            parse_f64_bits(next_token(fields, "wall_seconds"), "wall_seconds");
-        const std::uint64_t messages = parse_u64(next_token(fields, "message count"),
-                                                 "message count");
+        rec.stat.suburb_diameter = in.parse_f64_bits("suburb_diameter");
+        rec.stat.wall_seconds = in.parse_f64_bits("wall_seconds");
+        const std::uint64_t messages = in.parse_u64("message count");
         for (std::uint64_t m = 0; m < messages; ++m) {
-            rec.stat.message_times.push_back(
-                parse_f64_bits(next_token(fields, "message time"), "message time"));
+            rec.stat.message_times.push_back(in.parse_f64_bits("message time"));
         }
         for (std::uint64_t m = 0; m < messages; ++m) {
             rec.stat.message_completed.push_back(
-                parse_u64(next_token(fields, "message completed"), "message completed") != 0
-                    ? 1
-                    : 0);
+                in.parse_u64("message completed") != 0 ? 1 : 0);
         }
-        std::string extra;
-        if (fields >> extra) {
-            corrupt("trailing tokens on record line '" + line + "'");
-        }
+        in.end_line();
         manifest.records.push_back(std::move(rec));
     }
-    if (!ended) {
-        corrupt("truncated file: missing 'end' line");
-    }
-    (void)manifest.by_point();  // range/duplicate validation
-    return manifest;
+    in.corrupt("truncated file: missing 'end' line");
 }
 
 void save_manifest(const run_manifest& manifest, const std::string& path) {

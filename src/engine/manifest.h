@@ -18,11 +18,14 @@
 ///     silently mixing rows from two different experiments.
 #pragma once
 
+#include <bit>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,14 +35,124 @@
 
 namespace manhattan::engine {
 
-/// Raised on a truncated, corrupt or mismatched manifest. A state error in
-/// the engine taxonomy (engine/error.h): durable state disagrees with what
-/// this binary expects, and no retry can fix that. The message names the
-/// file and what disagreed. (Manifest *I/O* failures raise engine::error
-/// with class io instead — those may be transient and are retried.)
+/// Raised on a truncated, corrupt or mismatched manifest (or other text
+/// state file: a fabric spec, a ledger). A state error in the engine
+/// taxonomy (engine/error.h): durable state disagrees with what this binary
+/// expects, and no retry can fix that. The message names the file and what
+/// disagreed. (Manifest *I/O* failures raise engine::error with class io
+/// instead — those may be transient and are retried.)
 class manifest_error : public error {
  public:
     explicit manifest_error(const std::string& what) : error(errc::state, what) {}
+};
+
+/// Canonical 16-hex-char lower-case rendering of a 64-bit word: the form
+/// every text state file and the wire use for digests and IEEE-754 bits.
+[[nodiscard]] std::string hex64(std::uint64_t v);
+
+/// Strict reader of a line-oriented text state file (the run manifest, the
+/// fabric spec): whitespace-separated tokens, doubles as hex64 bit patterns.
+/// Anything missing or malformed throws manifest_error prefixed with the
+/// file kind ("manifest: ...", "fabric: ...").
+class text_reader {
+ public:
+    text_reader(const std::string& text, std::string file)
+        : text_(text), file_(std::move(file)) {}
+
+    /// Advance to the next line; false at the end of the text.
+    [[nodiscard]] bool next_line() {
+        if (!std::getline(text_, line_)) {
+            return false;
+        }
+        fields_ = std::istringstream(line_);
+        return true;
+    }
+    /// The value of the next line, which must be exactly "<key> <value>".
+    [[nodiscard]] std::string keyed(const std::string& key) {
+        if (!next_line()) {
+            corrupt("truncated file: missing '" + key + "' line");
+        }
+        if (next_token("key") != key) {
+            corrupt("expected '" + key + "' line, got '" + line_ + "'");
+        }
+        std::string value = next_token(key);
+        end_line();
+        return value;
+    }
+    [[nodiscard]] std::uint64_t keyed_u64(const std::string& key, int base = 10) {
+        return to_u64(keyed(key), key, base);
+    }
+    /// The current line's next token, parsed by the next two as a decimal
+    /// (or \p base) integer and as hex64 IEEE-754 bits.
+    [[nodiscard]] std::string next_token(const std::string& what) {
+        std::string t;
+        if (!(fields_ >> t)) {
+            corrupt("truncated line: missing " + what);
+        }
+        return t;
+    }
+    [[nodiscard]] std::uint64_t parse_u64(const std::string& what, int base = 10) {
+        return to_u64(next_token(what), what, base);
+    }
+    [[nodiscard]] double parse_f64_bits(const std::string& what) {
+        return std::bit_cast<double>(parse_u64(what, 16));
+    }
+    /// Consume the next token when it is \p tag.
+    [[nodiscard]] bool accept(const char* tag) {
+        const auto at = fields_.tellg();
+        std::string t;
+        if (fields_ >> t && t == tag) {
+            return true;
+        }
+        fields_.clear();
+        fields_.seekg(at);
+        return false;
+    }
+    void expect(const char* tag) {
+        if (!accept(tag)) {
+            corrupt(std::string{"expected '"} + tag + "' on line '" + line_ + "'");
+        }
+    }
+    /// The rest of the current line after one separating space.
+    [[nodiscard]] std::string rest() {
+        std::string out;
+        std::getline(fields_, out);
+        return !out.empty() && out.front() == ' ' ? out.substr(1) : out;
+    }
+    /// Throw unless the current line has no tokens left.
+    void end_line() {
+        std::string extra;
+        if (fields_ >> extra) {
+            corrupt("trailing tokens on line '" + line_ + "'");
+        }
+    }
+    /// Throw unless nothing follows on this line or after it.
+    void end_text() {
+        end_line();
+        if (next_line()) {
+            corrupt("trailing content after 'end'");
+        }
+    }
+    [[noreturn]] void corrupt(const std::string& what) const {
+        throw manifest_error(file_ + ": " + what);
+    }
+
+ private:
+    [[nodiscard]] std::uint64_t to_u64(const std::string& token, const std::string& what,
+                                       int base) const {
+        std::uint64_t value = 0;
+        const char* end = token.data() + token.size();
+        const auto [stop, ec] = std::from_chars(token.data(), end, value, base);
+        if (ec != std::errc{} || stop != end) {
+            corrupt("malformed " + what + " '" + token + "'");
+        }
+        return value;
+    }
+
+    std::istringstream text_;
+    std::istringstream fields_;
+    std::string line_;
+    std::string file_;
 };
 
 /// Bumped whenever the engine's per-replica output semantics change (row
@@ -105,16 +218,18 @@ struct run_manifest {
 /// Convenience overload: expand the spec, then fingerprint it.
 [[nodiscard]] std::uint64_t sweep_fingerprint(const sweep_spec& spec);
 
-/// Canonical 16-hex-char lower-case rendering of a fingerprint — the form
-/// the manifest header, the result cache's file names, and every mismatch
-/// diagnostic use.
-[[nodiscard]] std::string fingerprint_hex(std::uint64_t fingerprint);
+/// hex64 of a fingerprint — the form the manifest header, the result cache's
+/// file names, and every mismatch diagnostic use.
+[[nodiscard]] inline std::string fingerprint_hex(std::uint64_t fingerprint) {
+    return hex64(fingerprint);
+}
 
 /// Diagnose a fingerprint mismatch: the first output-affecting field that
-/// differs between two expanded sweeps, as "repetitions (3 vs 5)" or
-/// "point 2: radius (<hex64> vs <hex64>)" — empty when the expansions are
-/// identical (then only engine_output_version can explain a digest
-/// difference). Walks exactly the fields sweep_fingerprint hashes.
+/// differs between two expanded sweeps, named by its scenario schema path,
+/// as "repetitions (3 vs 5)", "point 2: radius (<hex64> vs <hex64>)" or
+/// "point 0: messages[1].sources.ids[0].id (5 vs 6)" — empty when the
+/// expansions are identical (then only engine_output_version can explain a
+/// digest difference). Walks exactly the fields sweep_fingerprint hashes.
 [[nodiscard]] std::string first_spec_difference(std::span<const sweep_point> a,
                                                 std::size_t repetitions_a,
                                                 std::span<const sweep_point> b,

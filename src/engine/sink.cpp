@@ -9,23 +9,12 @@
 #include "engine/error.h"
 #include "engine/fault.h"
 #include "engine/manifest.h"
+#include "engine/scenario_schema.h"
 #include "mobility/factory.h"
 
 namespace manhattan::engine {
 
 namespace {
-
-const char* mode_name(core::propagation mode) {
-    switch (mode) {
-        case core::propagation::one_hop:
-            return "one_hop";
-        case core::propagation::per_component:
-            return "per_component";
-        case core::propagation::gossip:
-            return "gossip";
-    }
-    return "?";
-}
 
 /// Shortest round-trip double formatting (JSON/CSV want full precision).
 std::string num(double v) {
@@ -104,8 +93,9 @@ void csv_sink::on_row(const sweep_row& row) {
     const auto& sc = row.point.sc;
     out_ << row.point.index << ',' << csv_quote(row.point.label) << ',' << sc.params.n << ','
          << num(sc.params.side) << ',' << num(sc.params.radius) << ',' << num(sc.params.speed)
-         << ',' << mobility::model_kind_name(sc.model) << ',' << mode_name(sc.mode) << ','
-         << num(sc.gossip_p) << ',' << row.times.size() << ',' << num(row.summary.mean) << ','
+         << ',' << mobility::model_kind_name(sc.model) << ',' << schema::name_of(sc.mode)
+         << ',' << num(sc.gossip_p) << ',' << row.times.size() << ','
+         << num(row.summary.mean) << ','
          << num(row.summary.stddev) << ',' << num(row.summary.min) << ','
          << num(row.summary.median) << ',' << num(row.summary.max) << ','
          << num(row.mean_ci.lo) << ',' << num(row.mean_ci.hi) << ','
@@ -127,7 +117,7 @@ void json_sink::on_row(const sweep_row& row) {
          << ",\n   \"params\": {\"n\": " << sc.params.n << ", \"side\": " << num(sc.params.side)
          << ", \"radius\": " << num(sc.params.radius) << ", \"speed\": " << num(sc.params.speed)
          << ", \"model\": " << json_quote(mobility::model_kind_name(sc.model))
-         << ", \"mode\": " << json_quote(mode_name(sc.mode))
+         << ", \"mode\": " << json_quote(schema::name_of(sc.mode))
          << ", \"gossip_p\": " << num(sc.gossip_p) << ", \"seed\": " << sc.seed
          << ", \"messages\": " << row.message_mean_times.size() << "},\n"
          << "   \"summary\": {\"reps\": " << row.times.size()

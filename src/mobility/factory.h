@@ -49,8 +49,22 @@ struct model_options {
 void check_model_topology(model_kind kind, const geom::topology_spec& topology,
                           const model_options& opts);
 
-/// Parse "mrwp" | "rwp" | "random_walk" | "random_direction" | "static" |
-/// "trace". Throws std::invalid_argument on unknown names.
+/// One model kind and its name on the command line, the wire and in labels.
+struct model_kind_entry {
+    model_kind value;
+    const char* name;
+};
+inline constexpr model_kind_entry model_kind_names[] = {
+    {model_kind::mrwp, "mrwp"},
+    {model_kind::rwp, "rwp"},
+    {model_kind::random_walk, "random_walk"},
+    {model_kind::random_direction, "random_direction"},
+    {model_kind::static_agents, "static"},
+    {model_kind::trace_replay, "trace"},
+};
+
+/// Parse a model_kind_names name. Throws std::invalid_argument on unknown
+/// names.
 [[nodiscard]] model_kind parse_model_kind(const std::string& name);
 
 /// Inverse of parse_model_kind (sweep labels, result sinks).

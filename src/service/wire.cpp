@@ -1,26 +1,26 @@
 #include "service/wire.h"
 
+#include <algorithm>
 #include <bit>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
+#include <type_traits>
 
-#include "core/scenario.h"
-#include "mobility/factory.h"
+#include "engine/manifest.h"
+#include "engine/scenario_schema.h"
 
 namespace manhattan::service {
+
+namespace schema = engine::schema;
 
 namespace {
 
 [[noreturn]] void bad(const std::string& what) { throw wire_error(what); }
 
 constexpr std::size_t max_depth = 64;  ///< nesting bound (hostile input guard)
-
-std::string hex64(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return {buf};
-}
 
 // ------------------------------------------------------------------ parser --
 
@@ -390,158 +390,6 @@ void dump_into(std::string& out, const json_value& v) {
     }
 }
 
-// -------------------------------------------------------------- enum names --
-// Every enum crosses the wire as a name, never a raw integer: the wire stays
-// readable and an enum renumbered by a future engine cannot silently alias.
-
-template <typename E>
-struct enum_name {
-    E value;
-    const char* name;
-};
-
-constexpr enum_name<core::propagation> propagation_names[] = {
-    {core::propagation::one_hop, "one_hop"},
-    {core::propagation::per_component, "per_component"},
-    {core::propagation::gossip, "gossip"},
-};
-
-constexpr enum_name<core::source_placement> placement_names[] = {
-    {core::source_placement::random_agent, "random_agent"},
-    {core::source_placement::center_most, "center_most"},
-    {core::source_placement::corner_most, "corner_most"},
-    {core::source_placement::corner_ne, "corner_ne"},
-    {core::source_placement::corner_nw, "corner_nw"},
-    {core::source_placement::corner_se, "corner_se"},
-};
-
-constexpr enum_name<core::source_spec::kind> source_kind_names[] = {
-    {core::source_spec::kind::placement, "placement"},
-    {core::source_spec::kind::explicit_ids, "explicit_ids"},
-    {core::source_spec::kind::random_k, "random_k"},
-};
-
-constexpr enum_name<core::stop_rule::kind> stop_kind_names[] = {
-    {core::stop_rule::kind::all_informed, "all_informed"},
-    {core::stop_rule::kind::informed_fraction, "informed_fraction"},
-    {core::stop_rule::kind::central_zone, "central_zone"},
-    {core::stop_rule::kind::step_budget, "step_budget"},
-};
-
-template <typename E, std::size_t N>
-const char* to_name(const enum_name<E> (&table)[N], E value, const char* what) {
-    for (const auto& entry : table) {
-        if (entry.value == value) {
-            return entry.name;
-        }
-    }
-    bad(std::string{"unencodable "} + what);
-}
-
-template <typename E, std::size_t N>
-E from_name(const enum_name<E> (&table)[N], const std::string& name, const char* what) {
-    for (const auto& entry : table) {
-        if (name == entry.name) {
-            return entry.value;
-        }
-    }
-    bad(std::string{"unknown "} + what + " '" + name + "'");
-}
-
-// --------------------------------------------------------- codec utilities --
-
-json_value encode_f64_array(const std::vector<double>& values) {
-    json_value arr = json_value::array();
-    arr.items.reserve(values.size());
-    for (const double v : values) {
-        arr.items.push_back(encode_f64(v));
-    }
-    return arr;
-}
-
-std::vector<double> decode_f64_array(const json_value& obj, const std::string& key) {
-    const json_value& arr = require(obj, key);
-    if (arr.what != json_value::kind::array) {
-        bad("field '" + key + "' is not an array");
-    }
-    std::vector<double> out;
-    out.reserve(arr.items.size());
-    for (const json_value& item : arr.items) {
-        out.push_back(decode_f64(item, key));
-    }
-    return out;
-}
-
-json_value encode_u64_array(const std::vector<std::size_t>& values) {
-    json_value arr = json_value::array();
-    arr.items.reserve(values.size());
-    for (const std::size_t v : values) {
-        arr.items.push_back(json_value::integer(v));
-    }
-    return arr;
-}
-
-std::vector<std::size_t> decode_u64_array(const json_value& obj, const std::string& key) {
-    const json_value& arr = require(obj, key);
-    if (arr.what != json_value::kind::array) {
-        bad("field '" + key + "' is not an array");
-    }
-    std::vector<std::size_t> out;
-    out.reserve(arr.items.size());
-    for (const json_value& item : arr.items) {
-        if (item.what != json_value::kind::integer) {
-            bad("field '" + key + "' holds a non-integer element");
-        }
-        out.push_back(item.whole);
-    }
-    return out;
-}
-
-json_value encode_source_spec(const core::source_spec& src) {
-    json_value v = json_value::object();
-    v.set("how", json_value::string(to_name(source_kind_names, src.how, "source kind")));
-    v.set("placement",
-          json_value::string(to_name(placement_names, src.placement, "placement")));
-    v.set("count", json_value::integer(src.count));
-    v.set("ids", encode_u64_array(src.ids));
-    return v;
-}
-
-core::source_spec decode_source_spec(const json_value& v) {
-    core::source_spec src;
-    src.how = from_name(source_kind_names, str_field(v, "how"), "source kind");
-    src.placement = from_name(placement_names, str_field(v, "placement"), "placement");
-    src.count = u64_field(v, "count");
-    src.ids = decode_u64_array(v, "ids");
-    return src;
-}
-
-json_value encode_summary(const stats::summary& s) {
-    json_value v = json_value::object();
-    v.set("count", json_value::integer(s.count));
-    v.set("mean", encode_f64(s.mean));
-    v.set("stddev", encode_f64(s.stddev));
-    v.set("min", encode_f64(s.min));
-    v.set("max", encode_f64(s.max));
-    v.set("median", encode_f64(s.median));
-    v.set("p25", encode_f64(s.p25));
-    v.set("p75", encode_f64(s.p75));
-    return v;
-}
-
-stats::summary decode_summary(const json_value& v) {
-    stats::summary s;
-    s.count = u64_field(v, "count");
-    s.mean = f64_field(v, "mean");
-    s.stddev = f64_field(v, "stddev");
-    s.min = f64_field(v, "min");
-    s.max = f64_field(v, "max");
-    s.median = f64_field(v, "median");
-    s.p25 = f64_field(v, "p25");
-    s.p75 = f64_field(v, "p75");
-    return s;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- value model --
@@ -639,23 +487,15 @@ std::string str_field(const json_value& obj, const std::string& key) {
 }
 
 json_value encode_f64(double v) {
-    return json_value::string(hex64(std::bit_cast<std::uint64_t>(v)));
+    return json_value::string(engine::hex64(std::bit_cast<std::uint64_t>(v)));
 }
 
 double decode_f64(const json_value& v, const std::string& what) {
-    if (v.what != json_value::kind::string || v.text.size() != 16) {
-        bad("'" + what + "' is not a 16-hex-char double");
-    }
     std::uint64_t bits = 0;
-    for (const char c : v.text) {
-        bits <<= 4;
-        if (c >= '0' && c <= '9') {
-            bits |= static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-            bits |= static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
-            bad("'" + what + "' holds a non-hex character");
-        }
+    const char* end = v.text.data() + v.text.size();
+    if (v.what != json_value::kind::string || v.text.size() != 16 ||
+        std::from_chars(v.text.data(), end, bits, 16).ptr != end) {
+        bad("'" + what + "' is not a 16-hex-char double");
     }
     return std::bit_cast<double>(bits);
 }
@@ -668,356 +508,305 @@ double f64_field(const json_value& obj, const std::string& key) {
 
 namespace {
 
-json_value encode_edge_list(const std::vector<geom::edge_ref>& list) {
-    json_value arr = json_value::array();
-    arr.items.reserve(list.size());
-    for (const geom::edge_ref& e : list) {
-        json_value quad = json_value::array();
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.ax)));
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.ay)));
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.bx)));
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.by)));
-        arr.items.push_back(std::move(quad));
-    }
-    return arr;
-}
+/// Schema visitor building a JSON object (a scenario, sweep spec or row):
+/// integers as JSON integers, doubles as hex64 strings, enumerators by name,
+/// lists as arrays laid out per schema::layout.
+class json_writer {
+ public:
+    explicit json_writer(json_value& root) : stack_{&root} {}
 
-std::vector<geom::edge_ref> decode_edge_list(const json_value& obj, const std::string& key) {
-    const json_value& arr = require(obj, key);
-    if (arr.what != json_value::kind::array) {
-        bad("field '" + key + "' is not an array");
-    }
-    std::vector<geom::edge_ref> list;
-    list.reserve(arr.items.size());
-    for (const json_value& quad : arr.items) {
-        if (quad.what != json_value::kind::array || quad.items.size() != 4) {
-            bad("field '" + key + "' holds a malformed edge (need [ax,ay,bx,by])");
-        }
-        geom::edge_ref e;
-        std::int32_t* const slots[4] = {&e.ax, &e.ay, &e.bx, &e.by};
-        for (std::size_t i = 0; i < 4; ++i) {
-            if (quad.items[i].what != json_value::kind::integer) {
-                bad("field '" + key + "' holds a non-integer edge index");
+    template <typename T>
+    void field(const char* name, const T& v) {
+        if constexpr (std::is_floating_point_v<T>) {
+            put(name, encode_f64(v));
+        } else if constexpr (std::is_same_v<T, bool>) {
+            put(name, json_value::boolean(v));
+        } else if constexpr (std::is_enum_v<T>) {
+            // By name, never as a raw integer: the wire stays readable and an
+            // enum renumbered by a future engine cannot silently alias.
+            const char* text = schema::name_of(v);
+            if (text == nullptr) {
+                bad(std::string{"unencodable "} + name);
             }
-            *slots[i] = static_cast<std::int32_t>(quad.items[i].whole);
+            put(name, json_value::string(text));
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            put(name, json_value::string(v));
+        } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+            put(name, v ? encode_f64(*v) : json_value::null());
+        } else {
+            put(name, json_value::integer(static_cast<std::uint64_t>(v)));
         }
-        list.push_back(e);
     }
-    return list;
+    template <typename F>
+    void group(const char* name, const char*, F&& fn) {
+        open(name, json_value::object(), fn);
+    }
+    template <typename T, typename F>
+    void list(const char* name, const char*, const std::vector<T>& items, schema::layout shape,
+              std::size_t, F&& fn) {
+        open(name, json_value::array(), [&] {
+            for (const T& item : items) {
+                if (shape == schema::layout::flat) {
+                    fn(item);
+                } else {
+                    open(name,
+                         shape == schema::layout::tuple ? json_value::array()
+                                                        : json_value::object(),
+                         [&] { fn(item); });
+                }
+            }
+        });
+    }
+    template <typename F>
+    void block(const char*, const char*, bool present, F&& fn) {
+        if (present) {
+            fn();
+        }
+    }
+    void tag(const char*) {}
+
+ private:
+    /// Append \p v to the open container: a named member or an array item.
+    json_value& put(const char* name, json_value v) {
+        json_value& top = *stack_.back();
+        if (top.what == json_value::kind::object) {
+            top.set(name, std::move(v));
+            return top.members.back().second;
+        }
+        top.items.push_back(std::move(v));
+        return top.items.back();
+    }
+    template <typename F>
+    void open(const char* name, json_value container, F&& fn) {
+        stack_.push_back(&put(name, std::move(container)));
+        fn();
+        stack_.pop_back();
+    }
+
+    std::vector<json_value*> stack_;  ///< open containers, innermost last
+};
+
+/// The inverse of json_writer. Members are looked up by name (unknown ones
+/// are ignored); array items are consumed in order and must all be used.
+/// Integers a field cannot hold (a street edge index past int32) throw.
+class json_reader {
+ public:
+    explicit json_reader(const json_value& root) : stack_{{&root, 0, "document"}} {}
+
+    template <typename T>
+    void field(const char* name, T& v) {
+        const json_value& item = take(name);
+        const std::string what = name;
+        if constexpr (std::is_floating_point_v<T>) {
+            v = decode_f64(item, what);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            v = expect(item, json_value::kind::boolean, what).flag;
+        } else if constexpr (std::is_enum_v<T>) {
+            const std::string& text = expect(item, json_value::kind::string, what).text;
+            const auto& names = schema::names_for(v);
+            const auto* entry = std::find_if(std::begin(names), std::end(names),
+                                             [&](const auto& e) { return text == e.name; });
+            if (entry == std::end(names)) {
+                bad("unknown " + what + " '" + text + "'");
+            }
+            v = entry->value;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            v = expect(item, json_value::kind::string, what).text;
+        } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+            v = item.what == json_value::kind::null ? std::nullopt
+                                                    : std::optional{decode_f64(item, what)};
+        } else {
+            if (!schema::from_word(expect(item, json_value::kind::integer, what).whole, v)) {
+                bad("field '" + what + "' is out of range (" + std::to_string(item.whole) +
+                    ")");
+            }
+        }
+    }
+    template <typename F>
+    void group(const char* name, const char*, F&& fn) {
+        descend(take(name), json_value::kind::object, name, fn);
+    }
+    template <typename T, typename F>
+    void list(const char* name, const char*, std::vector<T>& items, schema::layout shape,
+              std::size_t min_items, F&& fn) {
+        items.clear();
+        descend(take(name), json_value::kind::array, name, [&] {
+            while (stack_.back().cursor < stack_.back().node->items.size()) {
+                if (shape == schema::layout::flat) {
+                    fn(items.emplace_back());
+                } else {
+                    descend(take(name),
+                            shape == schema::layout::tuple ? json_value::kind::array
+                                                           : json_value::kind::object,
+                            name, [&] { fn(items.emplace_back()); });
+                }
+            }
+        });
+        if (items.size() < min_items) {
+            bad("field '" + std::string{name} + "' holds fewer than " +
+                std::to_string(min_items) + " items");
+        }
+    }
+    template <typename F>
+    void block(const char* name, const char*, bool, F&& fn) {
+        if (stack_.back().node->find(name) != nullptr) {
+            fn();
+        }
+    }
+    void tag(const char*) {}
+
+ private:
+    struct frame {
+        const json_value* node;
+        std::size_t cursor;  ///< next array item to take
+        const char* name;
+    };
+
+    const json_value& take(const char* name) {
+        frame& top = stack_.back();
+        if (top.node->what == json_value::kind::object) {
+            return require(*top.node, name);
+        }
+        if (top.cursor == top.node->items.size()) {
+            bad("field '" + std::string{top.name} + "' is missing an element");
+        }
+        return top.node->items[top.cursor++];
+    }
+    static const json_value& expect(const json_value& item, json_value::kind want,
+                                    const std::string& what) {
+        if (item.what != want) {
+            bad("field '" + what + "' has the wrong type");
+        }
+        return item;
+    }
+    template <typename F>
+    void descend(const json_value& node, json_value::kind want, const char* name, F&& fn) {
+        stack_.push_back({&expect(node, want, name), 0, name});
+        fn();
+        const bool leftover = node.what == json_value::kind::array &&
+                              stack_.back().cursor != node.items.size();
+        stack_.pop_back();
+        if (leftover) {
+            bad("field '" + std::string{name} + "' has too many elements");
+        }
+    }
+
+    std::vector<frame> stack_;  ///< open containers, innermost last
+};
+
+/// The wire members of a sweep spec: the base scenario, the replica count,
+/// then each non-empty axis (absent = not swept, so a one-point spec stays
+/// one short line). street_blocks only matters to the topology axes, and is
+/// sent only beside them.
+template <typename Spec, typename V>
+void visit_sweep_spec(Spec& spec, V& v) {
+    v.group("base", nullptr, [&] { schema::visit_scenario(spec.base, v); });
+    v.field("repetitions", spec.repetitions);
+    v.field("standard_case", spec.standard_case);
+    v.group("axes", nullptr, [&] {
+        const auto axis = [&](const char* name, auto& values) {
+            v.block(name, nullptr, !values.empty(), [&] {
+                v.list(name, nullptr, values, schema::layout::flat, 0,
+                       [&](auto& x) { v.field(name, x); });
+            });
+        };
+        axis("n", spec.n);
+        axis("c1", spec.c1);
+        axis("radius", spec.radius);
+        axis("speed", spec.speed);
+        axis("speed_factor", spec.speed_factor);
+        axis("model", spec.model);
+        axis("mode", spec.mode);
+        axis("gossip_p", spec.gossip_p);
+        axis("num_sources", spec.num_sources);
+        axis("num_messages", spec.num_messages);
+        axis("block_ratio", spec.block_ratio);
+        axis("blocked_fraction", spec.blocked_fraction);
+    });
+    v.block("street_blocks", nullptr,
+            !spec.block_ratio.empty() || !spec.blocked_fraction.empty(),
+            [&] { v.field("street_blocks", spec.street_blocks); });
 }
 
-json_value encode_topology(const geom::topology_spec& topology) {
-    json_value v = json_value::object();
-    v.set("kind", json_value::string("street_graph"));
-    v.set("xs", encode_f64_array(topology.street.xs));
-    v.set("ys", encode_f64_array(topology.street.ys));
-    v.set("blocked", encode_edge_list(topology.street.blocked));
-    v.set("one_way", encode_edge_list(topology.street.one_way));
-    return v;
-}
-
-geom::topology_spec decode_topology(const json_value& v) {
-    const std::string kind = str_field(v, "kind");
-    if (kind == "manhattan_grid") {
-        return geom::topology_spec::manhattan();
-    }
-    if (kind != "street_graph") {
-        bad("unknown topology kind '" + kind + "'");
-    }
-    geom::street_graph_spec street;
-    street.xs = decode_f64_array(v, "xs");
-    street.ys = decode_f64_array(v, "ys");
-    street.blocked = decode_edge_list(v, "blocked");
-    street.one_way = decode_edge_list(v, "one_way");
-    return geom::topology_spec::streets(std::move(street));
+/// The wire members of a sweep row: its point, then every statistic.
+template <typename Row, typename V>
+void visit_sweep_row(Row& row, V& v) {
+    const auto doubles = [&](const char* name, auto& values) {
+        v.list(name, nullptr, values, schema::layout::flat, 0,
+               [&](auto& x) { v.field(name, x); });
+    };
+    v.field("index", row.point.index);
+    v.field("label", row.point.label);
+    v.group("scenario", nullptr, [&] { schema::visit_scenario(row.point.sc, v); });
+    doubles("times", row.times);
+    v.group("summary", nullptr, [&] {
+        v.field("count", row.summary.count);
+        v.field("mean", row.summary.mean);
+        v.field("stddev", row.summary.stddev);
+        v.field("min", row.summary.min);
+        v.field("max", row.summary.max);
+        v.field("median", row.summary.median);
+        v.field("p25", row.summary.p25);
+        v.field("p75", row.summary.p75);
+    });
+    v.group("mean_ci", nullptr, [&] {
+        v.field("lo", row.mean_ci.lo);
+        v.field("hi", row.mean_ci.hi);
+    });
+    v.field("completed_fraction", row.completed_fraction);
+    doubles("message_mean_times", row.message_mean_times);
+    doubles("message_completed_fraction", row.message_completed_fraction);
+    v.field("mean_cz_step", row.mean_cz_step);
+    v.field("max_cz_step", row.max_cz_step);
+    v.field("cz_fraction", row.cz_fraction);
+    v.field("suburb_diameter", row.suburb_diameter);
+    v.field("wall_seconds", row.wall_seconds);
 }
 
 }  // namespace
 
 json_value encode_scenario(const core::scenario& sc) {
-    json_value v = json_value::object();
-    v.set("n", json_value::integer(sc.params.n));
-    v.set("side", encode_f64(sc.params.side));
-    v.set("radius", encode_f64(sc.params.radius));
-    v.set("speed", encode_f64(sc.params.speed));
-    v.set("model", json_value::string(mobility::model_kind_name(sc.model)));
-    v.set("walk_step_radius", encode_f64(sc.model_opts.walk_step_radius));
-    v.set("direction_max_leg", encode_f64(sc.model_opts.direction_max_leg));
-    v.set("mode", json_value::string(to_name(propagation_names, sc.mode, "mode")));
-    v.set("gossip_p", encode_f64(sc.gossip_p));
-    v.set("source", json_value::string(to_name(placement_names, sc.source, "source")));
-    v.set("seed", json_value::integer(sc.seed));
-    v.set("stationary_start", json_value::boolean(sc.stationary_start));
-    v.set("warmup_time", encode_f64(sc.warmup_time));
-    v.set("max_steps", json_value::integer(sc.max_steps));
-    v.set("record_timeline", json_value::boolean(sc.record_timeline));
-    v.set("with_cell_partition", json_value::boolean(sc.with_cell_partition));
-    // Optional members, omitted when they carry no data: a pure-grid
-    // non-trace scenario encodes byte-for-byte as it did before topologies
-    // existed, and older decoders (which ignore unknown members anyway)
-    // never see them.
-    if (!sc.topology.is_grid()) {
-        v.set("topology", encode_topology(sc.topology));
-    }
-    if (sc.model == mobility::model_kind::trace_replay && sc.model_opts.trace != nullptr) {
-        json_value tour = json_value::array();
-        tour.items.reserve(sc.model_opts.trace->size() * 2);
-        for (const geom::vec2& p : *sc.model_opts.trace) {
-            tour.items.push_back(encode_f64(p.x));
-            tour.items.push_back(encode_f64(p.y));
-        }
-        v.set("trace", std::move(tour));
-    }
-    json_value stop = json_value::object();
-    stop.set("how",
-             json_value::string(to_name(stop_kind_names, sc.spread.stop.how, "stop kind")));
-    stop.set("fraction", encode_f64(sc.spread.stop.fraction));
-    stop.set("steps", json_value::integer(sc.spread.stop.steps));
-    v.set("stop", std::move(stop));
-    json_value messages = json_value::array();
-    messages.items.reserve(sc.spread.messages.size());
-    for (const auto& msg : sc.spread.messages) {
-        json_value m = json_value::object();
-        m.set("sources", encode_source_spec(msg.sources));
-        m.set("spawn_step", json_value::integer(msg.spawn_step));
-        m.set("mode", json_value::string(to_name(propagation_names, msg.mode, "mode")));
-        m.set("gossip_p", encode_f64(msg.gossip_p));
-        m.set("gossip_seed", json_value::integer(msg.gossip_seed));
-        m.set("source_seed", json_value::integer(msg.source_seed));
-        messages.items.push_back(std::move(m));
-    }
-    v.set("messages", std::move(messages));
-    // intra_threads is deliberately absent: like --threads it is a
+    // intra_threads is not in the scenario schema: like --threads it is a
     // wall-clock-only knob outside the fingerprint, and the server picks its
     // own execution shape.
+    json_value v = json_value::object();
+    json_writer writer(v);
+    schema::visit_scenario(sc, writer);
     return v;
 }
 
 core::scenario decode_scenario(const json_value& v) {
     core::scenario sc;
-    sc.params.n = u64_field(v, "n");
-    sc.params.side = f64_field(v, "side");
-    sc.params.radius = f64_field(v, "radius");
-    sc.params.speed = f64_field(v, "speed");
-    sc.model = mobility::parse_model_kind(str_field(v, "model"));
-    sc.model_opts.walk_step_radius = f64_field(v, "walk_step_radius");
-    sc.model_opts.direction_max_leg = f64_field(v, "direction_max_leg");
-    sc.mode = from_name(propagation_names, str_field(v, "mode"), "mode");
-    sc.gossip_p = f64_field(v, "gossip_p");
-    sc.source = from_name(placement_names, str_field(v, "source"), "source");
-    sc.seed = u64_field(v, "seed");
-    sc.stationary_start = bool_field(v, "stationary_start");
-    sc.warmup_time = f64_field(v, "warmup_time");
-    sc.max_steps = u64_field(v, "max_steps");
-    sc.record_timeline = bool_field(v, "record_timeline");
-    sc.with_cell_partition = bool_field(v, "with_cell_partition");
-    if (v.find("topology") != nullptr) {
-        sc.topology = decode_topology(require(v, "topology"));
-    }
-    if (const json_value* tour = v.find("trace")) {
-        if (tour->what != json_value::kind::array || tour->items.size() % 2 != 0 ||
-            tour->items.size() < 4) {
-            bad("field 'trace' is not a flat [x,y,...] array of >= 2 points");
-        }
-        std::vector<geom::vec2> points(tour->items.size() / 2);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            points[i].x = decode_f64(tour->items[2 * i], "trace");
-            points[i].y = decode_f64(tour->items[2 * i + 1], "trace");
-        }
-        sc.model_opts.trace =
-            std::make_shared<const std::vector<geom::vec2>>(std::move(points));
-    }
-    const json_value& stop = require(v, "stop");
-    sc.spread.stop.how = from_name(stop_kind_names, str_field(stop, "how"), "stop kind");
-    sc.spread.stop.fraction = f64_field(stop, "fraction");
-    sc.spread.stop.steps = u64_field(stop, "steps");
-    const json_value& messages = require(v, "messages");
-    if (messages.what != json_value::kind::array) {
-        bad("field 'messages' is not an array");
-    }
-    for (const json_value& m : messages.items) {
-        core::message_spec msg;
-        msg.sources = decode_source_spec(require(m, "sources"));
-        msg.spawn_step = u64_field(m, "spawn_step");
-        msg.mode = from_name(propagation_names, str_field(m, "mode"), "mode");
-        msg.gossip_p = f64_field(m, "gossip_p");
-        msg.gossip_seed = u64_field(m, "gossip_seed");
-        msg.source_seed = u64_field(m, "source_seed");
-        sc.spread.messages.push_back(std::move(msg));
-    }
+    json_reader reader(v);
+    schema::visit_scenario(sc, reader);
     return sc;
 }
 
 json_value encode_sweep_spec(const engine::sweep_spec& spec) {
     json_value v = json_value::object();
-    v.set("base", encode_scenario(spec.base));
-    v.set("repetitions", json_value::integer(spec.repetitions));
-    v.set("standard_case", json_value::boolean(spec.standard_case));
-    json_value axes = json_value::object();
-    // Empty axes are omitted (absent = not swept), so a one-point spec stays
-    // one short line.
-    if (!spec.n.empty()) {
-        axes.set("n", encode_u64_array(spec.n));
-    }
-    if (!spec.c1.empty()) {
-        axes.set("c1", encode_f64_array(spec.c1));
-    }
-    if (!spec.radius.empty()) {
-        axes.set("radius", encode_f64_array(spec.radius));
-    }
-    if (!spec.speed.empty()) {
-        axes.set("speed", encode_f64_array(spec.speed));
-    }
-    if (!spec.speed_factor.empty()) {
-        axes.set("speed_factor", encode_f64_array(spec.speed_factor));
-    }
-    if (!spec.model.empty()) {
-        json_value arr = json_value::array();
-        for (const mobility::model_kind kind : spec.model) {
-            arr.items.push_back(json_value::string(mobility::model_kind_name(kind)));
-        }
-        axes.set("model", std::move(arr));
-    }
-    if (!spec.mode.empty()) {
-        json_value arr = json_value::array();
-        for (const core::propagation mode : spec.mode) {
-            arr.items.push_back(json_value::string(to_name(propagation_names, mode, "mode")));
-        }
-        axes.set("mode", std::move(arr));
-    }
-    if (!spec.gossip_p.empty()) {
-        axes.set("gossip_p", encode_f64_array(spec.gossip_p));
-    }
-    if (!spec.num_sources.empty()) {
-        axes.set("num_sources", encode_u64_array(spec.num_sources));
-    }
-    if (!spec.num_messages.empty()) {
-        axes.set("num_messages", encode_u64_array(spec.num_messages));
-    }
-    if (!spec.block_ratio.empty()) {
-        axes.set("block_ratio", encode_f64_array(spec.block_ratio));
-    }
-    if (!spec.blocked_fraction.empty()) {
-        axes.set("blocked_fraction", encode_f64_array(spec.blocked_fraction));
-    }
-    v.set("axes", std::move(axes));
-    // street_blocks only matters to the topology axes; emitting it only
-    // beside them keeps every pre-existing spec byte-identical.
-    if (!spec.block_ratio.empty() || !spec.blocked_fraction.empty()) {
-        v.set("street_blocks",
-              json_value::integer(static_cast<std::uint64_t>(spec.street_blocks)));
-    }
+    json_writer writer(v);
+    visit_sweep_spec(spec, writer);
     return v;
 }
 
 engine::sweep_spec decode_sweep_spec(const json_value& v) {
     engine::sweep_spec spec;
-    spec.base = decode_scenario(require(v, "base"));
-    spec.repetitions = u64_field(v, "repetitions");
-    spec.standard_case = bool_field(v, "standard_case");
-    const json_value& axes = require(v, "axes");
-    if (axes.what != json_value::kind::object) {
-        bad("field 'axes' is not an object");
-    }
-    if (axes.find("n") != nullptr) {
-        spec.n = decode_u64_array(axes, "n");
-    }
-    if (axes.find("c1") != nullptr) {
-        spec.c1 = decode_f64_array(axes, "c1");
-    }
-    if (axes.find("radius") != nullptr) {
-        spec.radius = decode_f64_array(axes, "radius");
-    }
-    if (axes.find("speed") != nullptr) {
-        spec.speed = decode_f64_array(axes, "speed");
-    }
-    if (axes.find("speed_factor") != nullptr) {
-        spec.speed_factor = decode_f64_array(axes, "speed_factor");
-    }
-    if (const json_value* arr = axes.find("model")) {
-        for (const json_value& item : arr->items) {
-            if (item.what != json_value::kind::string) {
-                bad("axis 'model' holds a non-string element");
-            }
-            spec.model.push_back(mobility::parse_model_kind(item.text));
-        }
-    }
-    if (const json_value* arr = axes.find("mode")) {
-        for (const json_value& item : arr->items) {
-            if (item.what != json_value::kind::string) {
-                bad("axis 'mode' holds a non-string element");
-            }
-            spec.mode.push_back(from_name(propagation_names, item.text, "mode"));
-        }
-    }
-    if (axes.find("gossip_p") != nullptr) {
-        spec.gossip_p = decode_f64_array(axes, "gossip_p");
-    }
-    if (axes.find("num_sources") != nullptr) {
-        spec.num_sources = decode_u64_array(axes, "num_sources");
-    }
-    if (axes.find("num_messages") != nullptr) {
-        spec.num_messages = decode_u64_array(axes, "num_messages");
-    }
-    if (axes.find("block_ratio") != nullptr) {
-        spec.block_ratio = decode_f64_array(axes, "block_ratio");
-    }
-    if (axes.find("blocked_fraction") != nullptr) {
-        spec.blocked_fraction = decode_f64_array(axes, "blocked_fraction");
-    }
-    if (v.find("street_blocks") != nullptr) {
-        spec.street_blocks = static_cast<std::int32_t>(u64_field(v, "street_blocks"));
-    }
+    json_reader reader(v);
+    visit_sweep_spec(spec, reader);
     return spec;
 }
 
 json_value encode_sweep_row(const engine::sweep_row& row) {
     json_value v = json_value::object();
-    v.set("index", json_value::integer(row.point.index));
-    v.set("label", json_value::string(row.point.label));
-    v.set("scenario", encode_scenario(row.point.sc));
-    v.set("times", encode_f64_array(row.times));
-    v.set("summary", encode_summary(row.summary));
-    json_value ci = json_value::object();
-    ci.set("lo", encode_f64(row.mean_ci.lo));
-    ci.set("hi", encode_f64(row.mean_ci.hi));
-    v.set("mean_ci", std::move(ci));
-    v.set("completed_fraction", encode_f64(row.completed_fraction));
-    v.set("message_mean_times", encode_f64_array(row.message_mean_times));
-    v.set("message_completed_fraction", encode_f64_array(row.message_completed_fraction));
-    v.set("mean_cz_step",
-          row.mean_cz_step ? encode_f64(*row.mean_cz_step) : json_value::null());
-    v.set("max_cz_step", row.max_cz_step ? encode_f64(*row.max_cz_step) : json_value::null());
-    v.set("cz_fraction", encode_f64(row.cz_fraction));
-    v.set("suburb_diameter", encode_f64(row.suburb_diameter));
-    v.set("wall_seconds", encode_f64(row.wall_seconds));
+    json_writer writer(v);
+    visit_sweep_row(row, writer);
     return v;
 }
 
 engine::sweep_row decode_sweep_row(const json_value& v) {
     engine::sweep_row row;
-    row.point.index = u64_field(v, "index");
-    row.point.label = str_field(v, "label");
-    row.point.sc = decode_scenario(require(v, "scenario"));
-    row.times = decode_f64_array(v, "times");
-    row.summary = decode_summary(require(v, "summary"));
-    const json_value& ci = require(v, "mean_ci");
-    row.mean_ci.lo = f64_field(ci, "lo");
-    row.mean_ci.hi = f64_field(ci, "hi");
-    row.completed_fraction = f64_field(v, "completed_fraction");
-    row.message_mean_times = decode_f64_array(v, "message_mean_times");
-    row.message_completed_fraction = decode_f64_array(v, "message_completed_fraction");
-    const json_value& mean_cz = require(v, "mean_cz_step");
-    if (mean_cz.what != json_value::kind::null) {
-        row.mean_cz_step = decode_f64(mean_cz, "mean_cz_step");
-    }
-    const json_value& max_cz = require(v, "max_cz_step");
-    if (max_cz.what != json_value::kind::null) {
-        row.max_cz_step = decode_f64(max_cz, "max_cz_step");
-    }
-    row.cz_fraction = f64_field(v, "cz_fraction");
-    row.suburb_diameter = f64_field(v, "suburb_diameter");
-    row.wall_seconds = f64_field(v, "wall_seconds");
+    json_reader reader(v);
+    visit_sweep_row(row, reader);
     return row;
 }
 

@@ -413,6 +413,29 @@ TEST(fabric_test, work_recorded_elsewhere_is_skipped_not_recomputed) {
     EXPECT_EQ(merged_csv(dir.path()), reference_csv());
 }
 
+TEST(fabric_test, in_flight_ledger_temp_files_are_neither_read_nor_warned_about) {
+    scratch_dir dir("ledger_tmp");
+    (void)engine::init_fabric(dir.path(), small_spec(), 2);
+    (void)engine::run_fabric_worker(worker_opts(dir.path(), "w1"), two_threads());
+    // What atomic_write_file leaves while another worker publishes its
+    // ledger: a complete one (were it read, w2 would skip every pair) and a
+    // half-written one (were it read, w2 would warn about it).
+    fs::rename(dir.path() + "/ledger-w1.manifest", dir.path() + "/ledger-x.manifest.tmp");
+    write_file(dir.path() + "/ledger-y.manifest.tmp", "manhattan-manifest v1\nfinger");
+    fs::remove(dir.path() + "/leases/batch-0.done");
+    fs::remove(dir.path() + "/leases/batch-1.done");
+
+    testing::internal::CaptureStderr();
+    const engine::fabric_report report =
+        engine::run_fabric_worker(worker_opts(dir.path(), "w2"), two_threads());
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(warnings.find("ledger"), std::string::npos) << warnings;
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.fresh, 4u);
+    EXPECT_EQ(report.skipped, 0u);
+    EXPECT_EQ(merged_csv(dir.path()), reference_csv());
+}
+
 TEST(fabric_test, merge_verifies_duplicated_records_agree) {
     scratch_dir dir("dup");
     (void)engine::init_fabric(dir.path(), small_spec(), 2);

@@ -13,10 +13,12 @@
 #include <sstream>
 #include <string>
 
+#include "engine/fabric.h"
 #include "engine/manifest.h"
 #include "engine/runner.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
+#include "service/wire.h"
 
 namespace {
 
@@ -465,6 +467,181 @@ TEST(manifest_test, replica_seeds_are_prefix_stable) {
             EXPECT_EQ(prefix[i], full[i]) << i;
         }
     }
+}
+
+// ----------------------------------------------------------- golden pins ---
+// Exact bytes and digests of every scenario encoding, pinned so that a change
+// to how scenarios are walked cannot move any of them unnoticed: the
+// fingerprint keys manifests, fabric directories and the result cache, and
+// the spec file and wire bytes are read back by other processes.
+
+/// Every scenario field set away from its default, with two messages (one
+/// placement source set, one explicit id list).
+core::scenario rich_scenario() {
+    core::scenario sc;
+    sc.params = core::net_params::standard_case(1200, 9.5, 0.75);
+    sc.model = manhattan::mobility::model_kind::random_walk;
+    sc.model_opts.walk_step_radius = 1.25;
+    sc.model_opts.direction_max_leg = 4.5;
+    sc.mode = core::propagation::gossip;
+    sc.gossip_p = 0.625;
+    sc.source = core::source_placement::corner_ne;
+    sc.seed = 0xdeadbeefcafef00dULL;
+    sc.stationary_start = false;
+    sc.warmup_time = 2.5;
+    sc.max_steps = 12'345;
+    sc.record_timeline = true;
+    sc.with_cell_partition = false;
+    sc.spread.stop = core::stop_rule::informed_fraction(0.9);
+    core::message_spec first;
+    first.sources = core::source_spec::at(core::source_placement::center_most, 3);
+    first.spawn_step = 7;
+    first.mode = core::propagation::per_component;
+    core::message_spec second;
+    second.sources = core::source_spec::agents({5, 9, 11});
+    second.spawn_step = 0;
+    second.mode = core::propagation::gossip;
+    second.gossip_p = 0.5;
+    second.gossip_seed = 77;
+    second.source_seed = 78;
+    sc.spread.messages = {first, second};
+    return sc;
+}
+
+TEST(golden_pins, pure_grid_fabric_spec_bytes) {
+    engine::sweep_spec sweep;
+    sweep.base = rich_scenario();
+    sweep.standard_case = false;
+    sweep.repetitions = 3;
+    sweep.speed_factor = {0.5, 1.0};
+    engine::fabric_spec spec;
+    spec.points = sweep.expand();
+    spec.repetitions = sweep.repetitions;
+    spec.batch = 2;
+    spec.fingerprint = engine::sweep_fingerprint(spec.points, spec.repetitions);
+    EXPECT_EQ(engine::serialize_fabric_spec(spec),
+              "manhattan-fabric v1\n"
+              "fingerprint a5dab12b77605403\n"
+              "repetitions 3\n"
+              "batch 2\n"
+              "points 2\n"
+              "point 0 1200 4041520cd1372feb 4023000000000000 3fdf505017613168 2 "
+              "3ff4000000000000 4012000000000000 2 3fe4000000000000 3 16045690984503111693 0 "
+              "4004000000000000 12345 1 0 stop 1 3feccccccccccccd 0 messages 2 "
+              "src 0 1 3 0 msg 7 1 3ff0000000000000 1 1 "
+              "src 1 0 1 3 5 9 11 msg 0 2 3fe0000000000000 77 78 "
+              "label n=1200 R=9.5 v=0.4893 model=random_walk gossip_p=0.625 msgs=2 src=3\n"
+              "point 1 1200 4041520cd1372feb 4023000000000000 3fef505017613168 2 "
+              "3ff4000000000000 4012000000000000 2 3fe4000000000000 3 16045690984503111693 0 "
+              "4004000000000000 12345 1 0 stop 1 3feccccccccccccd 0 messages 2 "
+              "src 0 1 3 0 msg 7 1 3ff0000000000000 1 1 "
+              "src 1 0 1 3 5 9 11 msg 0 2 3fe0000000000000 77 78 "
+              "label n=1200 R=9.5 v=0.9786 model=random_walk gossip_p=0.625 msgs=2 src=3\n"
+              "end 2\n");
+}
+
+/// The pinned wire bytes of rich_scenario().
+const char* const rich_scenario_wire =
+    "{\"n\":1200,\"side\":\"4041520cd1372feb\",\"radius\":\"4023000000000000\","
+    "\"speed\":\"3fe8000000000000\",\"model\":\"random_walk\","
+    "\"walk_step_radius\":\"3ff4000000000000\","
+    "\"direction_max_leg\":\"4012000000000000\",\"mode\":\"gossip\","
+    "\"gossip_p\":\"3fe4000000000000\",\"source\":\"corner_ne\","
+    "\"seed\":16045690984503111693,\"stationary_start\":false,"
+    "\"warmup_time\":\"4004000000000000\",\"max_steps\":12345,"
+    "\"record_timeline\":true,\"with_cell_partition\":false,"
+    "\"stop\":{\"how\":\"informed_fraction\",\"fraction\":\"3feccccccccccccd\","
+    "\"steps\":0},"
+    "\"messages\":[{\"sources\":{\"how\":\"placement\",\"placement\":\"center_most\","
+    "\"count\":3,\"ids\":[]},\"spawn_step\":7,\"mode\":\"per_component\","
+    "\"gossip_p\":\"3ff0000000000000\",\"gossip_seed\":1,\"source_seed\":1},"
+    "{\"sources\":{\"how\":\"explicit_ids\",\"placement\":\"random_agent\","
+    "\"count\":1,\"ids\":[5,9,11]},\"spawn_step\":0,\"mode\":\"gossip\","
+    "\"gossip_p\":\"3fe0000000000000\",\"gossip_seed\":77,\"source_seed\":78}]}";
+
+TEST(golden_pins, pure_grid_wire_bytes) {
+    EXPECT_EQ(manhattan::service::dump(manhattan::service::encode_scenario(rich_scenario())),
+              rich_scenario_wire);
+}
+
+TEST(golden_pins, street_and_trace_fingerprints) {
+    engine::sweep_spec streets;
+    streets.base.params = {800, 30.0, 7.0, 1.0};
+    streets.base.seed = 99;
+    manhattan::geom::street_graph_spec plan =
+        manhattan::geom::street_graph_spec::graded(30.0, 5, 1.5);
+    plan.blocked.push_back({1, 1, 2, 1});
+    plan.one_way.push_back({0, 0, 0, 1});
+    streets.base.topology = manhattan::geom::topology_spec::streets(std::move(plan));
+    streets.standard_case = false;
+    streets.repetitions = 4;
+    EXPECT_EQ(engine::fingerprint_hex(engine::sweep_fingerprint(streets)), "bc114af4b1d3febf");
+
+    engine::sweep_spec traced;
+    traced.base.params = {100, 12.0, 4.0, 1.0};
+    traced.base.seed = 5;
+    traced.base.model = manhattan::mobility::model_kind::trace_replay;
+    traced.base.model_opts.trace =
+        std::make_shared<const std::vector<manhattan::geom::vec2>>(
+            std::vector<manhattan::geom::vec2>{{1.0, 1.0}, {11.0, 1.0}, {6.0, 9.0}});
+    traced.standard_case = false;
+    traced.repetitions = 2;
+    EXPECT_EQ(engine::fingerprint_hex(engine::sweep_fingerprint(traced)), "10d7470930f83570");
+}
+
+TEST(golden_pins, sweep_spec_and_row_wire_bytes) {
+    engine::sweep_spec spec;
+    spec.base = rich_scenario();
+    spec.repetitions = 5;
+    spec.standard_case = false;
+    spec.n = {400, 900};
+    spec.c1 = {2.5};
+    spec.speed_factor = {0.5, 1.0};
+    spec.model = {manhattan::mobility::model_kind::mrwp,
+                  manhattan::mobility::model_kind::static_agents};
+    spec.mode = {core::propagation::one_hop, core::propagation::gossip};
+    spec.num_sources = {1, 4};
+    spec.block_ratio = {1.5};
+    spec.street_blocks = 5;
+    EXPECT_EQ(manhattan::service::dump(manhattan::service::encode_sweep_spec(spec)),
+              std::string{"{\"base\":"} + rich_scenario_wire +
+                  ",\"repetitions\":5,\"standard_case\":false,\"axes\":{\"n\":[400,900],"
+                  "\"c1\":[\"4004000000000000\"],"
+                  "\"speed_factor\":[\"3fe0000000000000\",\"3ff0000000000000\"],"
+                  "\"model\":[\"mrwp\",\"static\"],\"mode\":[\"one_hop\",\"gossip\"],"
+                  "\"num_sources\":[1,4],\"block_ratio\":[\"3ff8000000000000\"]},"
+                  "\"street_blocks\":5}");
+
+    engine::sweep_row row;
+    row.point = {rich_scenario(), 3, "row label"};
+    row.times = {12.0, -0.0, 0.1};
+    row.summary = {3, 4.0, 1.5, -0.0, 12.0, 0.1, 0.05, 6.05};
+    row.mean_ci = {1.25, 9.5};
+    row.completed_fraction = 2.0 / 3.0;
+    row.message_mean_times = {4.0, 7.5};
+    row.message_completed_fraction = {1.0, 0.5};
+    row.mean_cz_step = 3.5;
+    row.cz_fraction = 0.25;
+    row.suburb_diameter = 6.0;
+    row.wall_seconds = 1e-3;
+    EXPECT_EQ(manhattan::service::dump(manhattan::service::encode_sweep_row(row)),
+              std::string{"{\"index\":3,\"label\":\"row label\",\"scenario\":"} +
+                  rich_scenario_wire +
+                  ",\"times\":[\"4028000000000000\",\"8000000000000000\","
+                  "\"3fb999999999999a\"],"
+                  "\"summary\":{\"count\":3,\"mean\":\"4010000000000000\","
+                  "\"stddev\":\"3ff8000000000000\",\"min\":\"8000000000000000\","
+                  "\"max\":\"4028000000000000\",\"median\":\"3fb999999999999a\","
+                  "\"p25\":\"3fa999999999999a\",\"p75\":\"4018333333333333\"},"
+                  "\"mean_ci\":{\"lo\":\"3ff4000000000000\",\"hi\":\"4023000000000000\"},"
+                  "\"completed_fraction\":\"3fe5555555555555\","
+                  "\"message_mean_times\":[\"4010000000000000\",\"401e000000000000\"],"
+                  "\"message_completed_fraction\":[\"3ff0000000000000\","
+                  "\"3fe0000000000000\"],"
+                  "\"mean_cz_step\":\"400c000000000000\",\"max_cz_step\":null,"
+                  "\"cz_fraction\":\"3fd0000000000000\","
+                  "\"suburb_diameter\":\"4018000000000000\","
+                  "\"wall_seconds\":\"3f50624dd2f1a9fc\"}");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -608,6 +609,61 @@ TEST(topology_fabric, street_and_trace_points_survive_the_spec_file_round_trip) 
         engine::parse_fabric_spec(engine::serialize_fabric_spec(traced));
     ASSERT_NE(traced_back.points[0].sc.model_opts.trace, nullptr);
     EXPECT_EQ(*traced_back.points[0].sc.model_opts.trace, *tsc.model_opts.trace);
+}
+
+TEST(topology_fabric, spec_file_rejects_edge_indices_past_int32) {
+    core::scenario sc = street_scenario();
+    sc.topology.street.blocked.front().ax = std::numeric_limits<std::int32_t>::max();
+    engine::fabric_spec fabric;
+    fabric.points.push_back({sc, 0, "street point"});
+    fabric.repetitions = 1;
+    fabric.batch = 1;
+    fabric.fingerprint = engine::sweep_fingerprint(fabric.points, 1);
+    const std::string text = engine::serialize_fabric_spec(fabric);
+    EXPECT_EQ(engine::parse_fabric_spec(text).points[0].sc.topology, sc.topology);
+
+    // 2^31 and 2^32 + 1: narrowed to int32 they would alias real indices.
+    for (const std::string index : {"2147483648", "4294967297"}) {
+        std::string tampered = text;
+        const std::size_t at = tampered.find(" 2147483647 ");
+        ASSERT_NE(at, std::string::npos);
+        tampered.replace(at + 1, 10, index);
+        try {
+            (void)engine::parse_fabric_spec(tampered);
+            ADD_FAILURE() << "index " << index << " was accepted";
+        } catch (const engine::error& e) {
+            EXPECT_EQ(e.cls(), engine::errc::state);
+            EXPECT_NE(std::string{e.what()}.find("out-of-range"), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(topology_fabric, spec_files_of_the_older_street_and_trace_layout_are_rejected) {
+    // Spec files an older engine wrote, with the street and trace blocks after
+    // with_cell_partition. The blocks now sit at their fingerprint position, so
+    // these must fail as corrupt state, never parse into some other sweep.
+    const std::string street =
+        "manhattan-fabric v1\nfingerprint 1d49f28a31c769eb\nrepetitions 1\nbatch 1\n"
+        "points 1\npoint 0 100 4028000000000000 4010000000000000 3ff0000000000000 0 "
+        "0000000000000000 0000000000000000 0 3ff0000000000000 0 3 1 0000000000000000 "
+        "1000000 0 1 topo 3 0000000000000000 4018000000000000 4028000000000000 3 "
+        "0000000000000000 4018000000000000 4028000000000000 1 0 0 1 0 0 "
+        "stop 0 3ff0000000000000 0 messages 0 label street\nend 1\n";
+    const std::string trace =
+        "manhattan-fabric v1\nfingerprint c57e25e8d9eb19bc\nrepetitions 1\nbatch 1\n"
+        "points 1\npoint 0 100 4028000000000000 4010000000000000 3ff0000000000000 5 "
+        "0000000000000000 0000000000000000 0 3ff0000000000000 0 1 1 0000000000000000 "
+        "1000000 0 1 trace 2 3ff0000000000000 3ff0000000000000 4026000000000000 "
+        "3ff0000000000000 stop 0 3ff0000000000000 0 messages 0 label trace\nend 1\n";
+    for (const std::string& text : {street, trace}) {
+        try {
+            (void)engine::parse_fabric_spec(text);
+            ADD_FAILURE() << "an older-layout spec was accepted";
+        } catch (const engine::error& e) {
+            EXPECT_EQ(e.cls(), engine::errc::state) << e.what();
+        }
+    }
 }
 
 }  // namespace

@@ -379,6 +379,29 @@ TEST(Wire, TopologyRejectsUnknownKindAndMalformedEdges) {
     EXPECT_THROW((void)service::decode_scenario(w), service::wire_error);
 }
 
+TEST(Wire, TopologyRejectsEdgeIndicesPastInt32) {
+    // The largest index an edge_ref holds round-trips; anything past it is
+    // rejected rather than narrowed (2^32 + 1 would otherwise become 1, and
+    // the daemon would run a different street plan from the one sent).
+    core::scenario sc = street_scenario();
+    sc.topology.street.blocked.front().ax = std::numeric_limits<std::int32_t>::max();
+    const json_value v = service::encode_scenario(sc);
+    EXPECT_EQ(service::decode_scenario(v).topology, sc.topology);
+    for (const std::uint64_t index : {std::uint64_t{1} << 31, (std::uint64_t{1} << 32) + 1}) {
+        json_value w = v;
+        for (auto& [key, member] : w.members) {
+            if (key == "topology") {
+                for (auto& [tkey, tmember] : member.members) {
+                    if (tkey == "blocked") {
+                        tmember.items.front().items.front() = json_value::integer(index);
+                    }
+                }
+            }
+        }
+        EXPECT_THROW((void)service::decode_scenario(w), service::wire_error) << index;
+    }
+}
+
 TEST(Wire, SweepSpecTopologyAxesRoundTrip) {
     engine::sweep_spec spec;
     spec.base = rich_scenario();
