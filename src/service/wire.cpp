@@ -545,6 +545,7 @@ class json_writer {
     void list(const char* name, const char*, const std::vector<T>& items, schema::layout shape,
               std::size_t, F&& fn) {
         open(name, json_value::array(), [&] {
+            stack_.back()->items.reserve(items.size());
             for (const T& item : items) {
                 if (shape == schema::layout::flat) {
                     fn(item);
@@ -595,8 +596,8 @@ class json_reader {
 
     template <typename T>
     void field(const char* name, T& v) {
-        const json_value& item = take(name);
         const std::string what = name;
+        const json_value& item = take(what);
         if constexpr (std::is_floating_point_v<T>) {
             v = decode_f64(item, what);
         } else if constexpr (std::is_same_v<T, bool>) {
@@ -631,6 +632,7 @@ class json_reader {
               std::size_t min_items, F&& fn) {
         items.clear();
         descend(take(name), json_value::kind::array, name, [&] {
+            items.reserve(stack_.back().node->items.size());
             while (stack_.back().cursor < stack_.back().node->items.size()) {
                 if (shape == schema::layout::flat) {
                     fn(items.emplace_back());
@@ -662,7 +664,7 @@ class json_reader {
         const char* name;
     };
 
-    const json_value& take(const char* name) {
+    const json_value& take(const std::string& name) {
         frame& top = stack_.back();
         if (top.node->what == json_value::kind::object) {
             return require(*top.node, name);
