@@ -57,7 +57,7 @@ inline void banner(const std::string& experiment_id, const std::string& artifact
 /// Wrap the whole of main in guarded_main: it parses the CLI, runs \p body,
 /// and maps every escaping exception onto this taxonomy (engine/error.h) so
 /// scripts and CI can branch on *why* a bench failed, not just that it did.
-/// Marker thrown by run_sweep_auto once `--fingerprint` has printed its
+/// Marker thrown by sweep_harness::run once `--fingerprint` has printed its
 /// digest: unwinds the bench without running a single replica; guarded_main
 /// maps it to exit 0. Not an error type on purpose — nothing but
 /// guarded_main may swallow it.
@@ -528,7 +528,7 @@ inline const std::atomic<bool>* install_graceful_stop() {
 ///   --replica-attempts=K      in-process tries per replica (3);
 ///   --replica-deadline-ms=MS  stuck-replica watchdog (0 = off).
 /// When --fabric= is absent, active() is false and binaries fall back to
-/// plain run_sweep (run_sweep_auto below automates the dispatch).
+/// plain run_sweep (sweep_harness below automates the dispatch).
 class fabric_set {
  public:
     explicit fabric_set(const util::cli_args& args) : active_(args.has("fabric")) {
@@ -601,37 +601,9 @@ class fabric_set {
     std::size_t sweep_ = 0;
 };
 
-/// Dispatch one sweep to the fabric (when --fabric= is set) or to plain
-/// run_sweep. The sweep benches call this everywhere they used to call
-/// run_sweep, so every one of them can be a fault-tolerant worker.
-///
-/// `--fingerprint` (any sweep bench): dry-run — expand the spec, print its
-/// fingerprint (the result cache's key, docs/SERVICE.md) to stdout, and exit
-/// 0 without running anything. Benches that run several sweeps print their
-/// *first* sweep's fingerprint: later specs often depend on earlier rows, so
-/// only the first is well-defined without running — and it is the one a
-/// cache probe needs.
-inline engine::sweep_result run_sweep_auto(fabric_set& fabric,
-                                           const engine::sweep_spec& spec,
-                                           const engine::run_options& opts,
-                                           std::span<engine::result_sink* const> sinks,
-                                           const engine::checkpoint_options& checkpoint = {}) {
-    if (detail::fingerprint_only) {
-        const auto points = spec.expand();
-        std::printf("fingerprint %s points=%zu reps=%zu\n",
-                    engine::fingerprint_hex(engine::sweep_fingerprint(points, spec.repetitions))
-                        .c_str(),
-                    points.size(), spec.repetitions);
-        throw fingerprint_printed{};
-    }
-    if (fabric.active()) {
-        return fabric.run(spec, opts, sinks);
-    }
-    return engine::run_sweep(spec, opts, sinks, checkpoint);
-}
-
-/// The sinks a sweep binary feeds: add your own (usually a memory_sink for
-/// verdict logic) and `--csv=FILE` / `--json=FILE` attach file sinks too.
+/// The sinks a sweep binary feeds: `--csv=FILE` / `--json=FILE` attach file
+/// sinks, and with() adds a sweep's own (usually a memory_sink for verdict
+/// logic).
 /// The file sinks are crash-safe engine::atomic_file_sinks: every row is
 /// published via write-temp + fsync + rename, so a killed sweep never leaves
 /// a half-written row (and the JSON on disk is always a closed document).
@@ -665,8 +637,6 @@ class sink_set {
         }
     }
 
-    void add(engine::result_sink* sink) { sinks_.push_back(sink); }
-
     [[nodiscard]] std::span<engine::result_sink* const> span() const noexcept {
         return sinks_;
     }
@@ -691,6 +661,59 @@ class sink_set {
     std::optional<engine::atomic_file_sink> csv_;
     std::optional<engine::atomic_file_sink> json_;
     std::vector<engine::result_sink*> sinks_;
+};
+
+/// Everything a sweep bench wires around its sweeps, built from one CLI: the
+/// `--csv=` / `--json=` file sinks, the engine knobs (engine_options), the
+/// checkpoints, the fabric and the telemetry. Binaries that run several
+/// sweeps call run() once per sweep, in a fixed order: each sweep gets its
+/// own manifest and fabric directory, and every row appends to the same
+/// files.
+class sweep_harness {
+ public:
+    explicit sweep_harness(const util::cli_args& args)
+        : sinks_(args),
+          opts_(engine_options(args)),
+          ckpt_(args),
+          fabric_(args),
+          telem_(args) {}
+
+    /// Run one sweep through the fabric (when --fabric= is set) or plain
+    /// run_sweep, feeding its rows to the file sinks and to \p rows.
+    ///
+    /// `--fingerprint`: dry-run — expand the spec, print its fingerprint
+    /// (the result cache's key, docs/SERVICE.md) to stdout, and exit 0
+    /// without running anything. Benches that run several sweeps print
+    /// their *first* sweep's fingerprint: later specs often depend on
+    /// earlier rows, so only the first is well-defined without running —
+    /// and it is the one a cache probe needs.
+    void run(const engine::sweep_spec& spec, engine::result_sink& rows) {
+        engine::run_options opts = opts_;
+        telem_.arm(opts, spec);
+        if (detail::fingerprint_only) {
+            const auto points = spec.expand();
+            std::printf(
+                "fingerprint %s points=%zu reps=%zu\n",
+                engine::fingerprint_hex(engine::sweep_fingerprint(points, spec.repetitions))
+                    .c_str(),
+                points.size(), spec.repetitions);
+            throw fingerprint_printed{};
+        }
+        const std::vector<engine::result_sink*> sinks = sinks_.with(&rows);
+        if (fabric_.active()) {
+            (void)fabric_.run(spec, opts, sinks);
+        } else {
+            (void)engine::run_sweep(spec, opts, sinks, ckpt_.next());
+        }
+        telem_.sweep_done();
+    }
+
+ private:
+    sink_set sinks_;
+    engine::run_options opts_;
+    checkpointer ckpt_;
+    fabric_set fabric_;
+    telemetry_set telem_;
 };
 
 }  // namespace manhattan::bench

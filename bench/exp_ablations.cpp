@@ -52,13 +52,10 @@ int run(const util::cli_args& args) {
 
     util::table t({"ablation", "variant", "mean T", "note"});
 
-    // One sink_set spans both engine sweeps below, so --csv/--json capture
+    // One harness spans both engine sweeps below, so --csv/--json capture
     // the propagation AND gossip rows in a single file. --resume= gives each
     // sweep its own manifest (PATH, PATH.2).
-    bench::sink_set file_sinks(args);
-    bench::checkpointer ckpt(args);
-    bench::fabric_set fabric(args);  // --fabric= = multi-worker drain
-    bench::telemetry_set telem(args);
+    bench::sweep_harness harness(args);
 
     // (1) propagation semantics, as a mode-axis sweep.
     engine::sweep_spec prop_spec;
@@ -66,10 +63,7 @@ int run(const util::cli_args& args) {
     prop_spec.repetitions = reps;
     prop_spec.mode = {core::propagation::one_hop, core::propagation::per_component};
     engine::memory_sink prop_rows;
-    engine::run_options prop_opts = opts;
-    telem.arm(prop_opts, prop_spec);
-    (void)bench::run_sweep_auto(fabric, prop_spec, prop_opts, file_sinks.with(&prop_rows), ckpt.next());
-    telem.sweep_done();
+    harness.run(prop_spec, prop_rows);
     const double one_hop = prop_rows.rows()[0].summary.mean;
     const double per_component = prop_rows.rows()[1].summary.mean;
     t.add_row({"propagation", "one hop (paper)", util::fmt(one_hop), "reference"});
@@ -127,11 +121,7 @@ int run(const util::cli_args& args) {
     gossip_spec.repetitions = reps;
     gossip_spec.gossip_p = {1.0, 0.5, 0.25};
     engine::memory_sink gossip_rows;
-    engine::run_options gossip_opts = opts;
-    telem.arm(gossip_opts, gossip_spec);
-    (void)bench::run_sweep_auto(fabric, gossip_spec, gossip_opts, file_sinks.with(&gossip_rows),
-                            ckpt.next());
-    telem.sweep_done();
+    harness.run(gossip_spec, gossip_rows);
     for (const auto& row : gossip_rows.rows()) {
         const double p = row.point.sc.gossip_p;
         t.add_row({"gossip", "p = " + util::fmt(p), util::fmt(row.summary.mean),

@@ -22,11 +22,7 @@ int run(const util::cli_args& args) {
 
     bench::banner("C12", "Corollary 12: large R empties the Suburb; flooding <= 18 L/R");
 
-    bench::sink_set sinks(args);
-    const auto opts = bench::engine_options(args);
-    bench::checkpointer ckpt(args);  // one manifest per n sweep
-    bench::fabric_set fabric(args);  // --fabric= = multi-worker drain
-    bench::telemetry_set telem(args);
+    bench::sweep_harness harness(args);  // one manifest per n sweep
     const double factors[] = {0.45, 1.0, 1.3};
 
     util::table t({"n", "R / threshold", "R", "suburb cells", "max T", "18 L/R", "ok"});
@@ -49,10 +45,7 @@ int run(const util::cli_args& args) {
         bench::apply_topology(args, spec);  // --topology= street-plan axes
 
         engine::memory_sink memory;
-        engine::run_options sweep_opts = opts;
-        telem.arm(sweep_opts, spec);
-        (void)bench::run_sweep_auto(fabric, spec, sweep_opts, sinks.with(&memory), ckpt.next());
-        telem.sweep_done();
+        harness.run(spec, memory);
 
         for (const auto& row : memory.rows()) {
             const double radius = row.point.sc.params.radius;

@@ -30,11 +30,7 @@ int run(const util::cli_args& args) {
     spec.c1 = {3.0, 4.0};
     spec.speed_factor = {1.0};
 
-    bench::sink_set sinks(args);
-    const auto opts = bench::engine_options(args);
-    bench::checkpointer ckpt(args);  // one manifest per placement sweep
-    bench::fabric_set fabric(args);  // --fabric= = multi-worker drain
-    bench::telemetry_set telem(args);
+    bench::sweep_harness harness(args);  // one manifest per placement sweep
 
     // --source= collapses the center/corner contrast to one pinned placement.
     const auto placements = bench::source_contrast(
@@ -45,10 +41,7 @@ int run(const util::cli_args& args) {
     for (const auto placement : placements) {
         spec.base.source = placement;
         engine::memory_sink memory;
-        engine::run_options sweep_opts = opts;
-        telem.arm(sweep_opts, spec);
-        (void)bench::run_sweep_auto(fabric, spec, sweep_opts, sinks.with(&memory), ckpt.next());
-        telem.sweep_done();
+        harness.run(spec, memory);
         for (const auto& row : memory.rows()) {
             const auto& p = row.point.sc.params;
             // A replica whose CZ never filled reports loudly.

@@ -49,15 +49,8 @@ int run(const util::cli_args& args) {
     bench::apply_topology(args, spec);  // --topology= street-plan axes
 
     engine::memory_sink memory;
-    bench::sink_set sinks(args);
-    sinks.add(&memory);
-    bench::checkpointer ckpt(args);
-    bench::fabric_set fabric(args);  // --fabric= = multi-worker drain
-    bench::telemetry_set telem(args);
-    engine::run_options opts = bench::engine_options(args);
-    telem.arm(opts, spec);
-    (void)bench::run_sweep_auto(fabric, spec, opts, sinks.span(), ckpt.next());
-    telem.sweep_done();
+    bench::sweep_harness harness(args);
+    harness.run(spec, memory);
 
     util::table t({"n", "L", "R", "mean T", "sd", "L/R", "T / (L/R)"});
     std::vector<double> ns;

@@ -77,10 +77,11 @@ void bm_flood_run(benchmark::State& state) {
     std::uint64_t steps = 0;
     for (auto _ : state) {
         mobility::walker w(model, n, core::paper::speed_bound(radius), rng::rng{4});
-        core::flood_config cfg;
+        core::spread_config cfg;
         cfg.record_timeline = false;
+        cfg.spread.messages.emplace_back();  // the paper's flood, from agent 0
         core::flooding_sim sim(std::move(w), radius, cfg);
-        const auto result = sim.run();
+        const auto result = sim.run_spread().messages[0];
         steps += result.flooding_time;
         benchmark::DoNotOptimize(result.informed_count);
     }

@@ -1,12 +1,13 @@
 // PERF — the intra-replica hot path: steps/sec of one flooding replica's
 // per-step loop (mobility advance -> grid rebuild -> neighbourhood scan) as
-// a function of n, for the serial path and for a borrowed thread pool at
-// several worker counts. Emits the machine-readable BENCH_flood.json rows
-// the perf trajectory tracks (see docs/PERF.md for how to read it).
+// a function of n, for the "serial" engine (the lane kernels on one lane of
+// the calling thread) and for a borrowed thread pool at several worker
+// counts. Emits the machine-readable BENCH_flood.json rows the perf
+// trajectory tracks (see docs/PERF.md for how to read it).
 //
-// Each measurement times complete replicas (construction excluded, run()
-// timed): every per-step phase stays live for the whole window, and the
-// flooding time doubles as the determinism witness — every engine variant
+// Each measurement times complete replicas (construction excluded,
+// run_spread() timed): every per-step phase stays live for the whole window,
+// and the flooding time doubles as the determinism witness — every engine variant
 // runs the identical simulation (same seed), so the per-row flooding_time
 // must agree across engines, and the emitted JSON shows it.
 //
@@ -65,7 +66,7 @@ struct perf_row {
     std::string engine;       // "serial" or "pool"
     std::size_t threads = 0;  // pool workers (0 for the serial row)
     std::size_t steps = 0;    // summed flooding steps over the reps
-    double seconds = 0.0;     // summed run() wall time
+    double seconds = 0.0;     // summed run_spread() wall time
     double steps_per_sec = 0.0;
     std::uint64_t flooding_time = 0;  // determinism witness: equal across engines
     double speedup_vs_1thread = 0.0;  // 0 until the 1-thread row is known
@@ -74,8 +75,8 @@ struct perf_row {
 };
 
 /// One timed measurement: `reps` complete replicas of the identical flood
-/// (same seed every rep — identical work), run() timed, construction
-/// excluded. A null pool means the serial path.
+/// (same seed every rep — identical work), run_spread() timed, construction
+/// excluded. A null pool means the "serial" row: one lane on this thread.
 perf_row measure(std::size_t n, double c1, std::uint64_t seed, std::size_t reps,
                  std::uint64_t max_steps, engine::thread_pool* pool) {
     const double radius = c1 * std::sqrt(std::log(static_cast<double>(n)));
@@ -90,13 +91,14 @@ perf_row measure(std::size_t n, double c1, std::uint64_t seed, std::size_t reps,
     for (std::size_t rep = 0; rep < reps; ++rep) {
         rng::rng gen(seed);
         mobility::walker agents(model, n, params.speed, gen);
-        core::flood_config cfg;
+        core::spread_config cfg;
         cfg.max_steps = max_steps;
         cfg.record_timeline = false;
+        cfg.spread.messages.emplace_back();  // the paper's flood, from agent 0
         core::flooding_sim sim(std::move(agents), radius, cfg, nullptr,
                                pool != nullptr ? &pool->executor() : nullptr);
         const util::timer clock;
-        const auto result = sim.run();
+        const auto result = sim.run_spread().messages[0];
         row.seconds += clock.seconds();
         row.steps += result.flooding_time;
         row.flooding_time = result.flooding_time;

@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
         zone_at_start[i] = cells.zone_of_point(w.positions()[i]);
     }
 
-    core::flood_config cfg;
-    cfg.source = source;
+    core::spread_config cfg;
+    cfg.spread.messages.push_back({.sources = core::source_spec::agents({source})});
     cfg.max_steps = 500'000;
     core::flooding_sim sim(std::move(w), radius, cfg, &cells);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
 
     std::printf("Suburb latency — n = %zu, L = %.0f, R = %.2f, v = %.3f\n", n, side, radius,
                 speed);

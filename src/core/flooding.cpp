@@ -7,18 +7,16 @@
 
 namespace manhattan::core {
 
-spread_config flood_config::to_spread_config() const {
-    spread_config cfg;
-    cfg.max_steps = max_steps;
-    cfg.record_timeline = record_timeline;
-    message_spec msg;
-    msg.sources = source_spec::agents({source});
-    msg.mode = mode;
-    msg.gossip_p = gossip_p;
-    msg.gossip_seed = gossip_seed;
-    cfg.spread.messages.push_back(std::move(msg));
-    return cfg;
+namespace {
+
+/// A null executor stands for one lane on the calling thread. That
+/// executor holds no state, so every simulation may share it.
+util::parallel_executor* or_one_lane(util::parallel_executor* exec) noexcept {
+    static util::serial_executor one_lane;
+    return exec != nullptr ? exec : &one_lane;
 }
+
+}  // namespace
 
 flooding_sim::flooding_sim(mobility::walker agents, double radius, spread_config cfg,
                            const cell_partition* cells, util::parallel_executor* exec)
@@ -26,7 +24,7 @@ flooding_sim::flooding_sim(mobility::walker agents, double radius, spread_config
       radius_(radius),
       cfg_(std::move(cfg)),
       cells_(cells),
-      exec_(exec),
+      exec_(or_one_lane(exec)),
       grid_(walker_.model().side(), std::min(radius, walker_.model().side())) {
     if (!(radius > 0.0)) {
         throw std::invalid_argument("flooding_sim: radius must be positive");
@@ -61,9 +59,9 @@ flooding_sim::flooding_sim(mobility::walker agents, double radius, spread_config
     refresh_stop_satisfaction();
 }
 
-flooding_sim::flooding_sim(mobility::walker agents, double radius, flood_config cfg,
-                           const cell_partition* cells, util::parallel_executor* exec)
-    : flooding_sim(std::move(agents), radius, cfg.to_spread_config(), cells, exec) {}
+void flooding_sim::set_executor(util::parallel_executor* exec) noexcept {
+    exec_ = or_one_lane(exec);
+}
 
 /// Mark a message's resolved sources informed at the current step. Sources
 /// are resolved against the *current* positions (a message spawned at step s
@@ -103,7 +101,7 @@ void flooding_sim::spawn(message_state& msg) {
 /// touched == committed, so #committed = bucket size - #uninformed in every
 /// bucket). The decision compares the scan's potential savings (queries x
 /// average bucket occupancy) against the build cost — purely a function of
-/// already-deterministic counts, so serial and parallel paths always agree.
+/// already-deterministic counts, so every lane count makes the same choice.
 bool flooding_sim::prepare_skip_tables(const message_state& msg, std::size_t scan_size,
                                        bool uninformed) {
     const std::size_t buckets = grid_.bucket_count();
@@ -164,11 +162,11 @@ void flooding_sim::sum_bucket_neighborhoods() {
 
 /// Neighbourhood scan over informed-list slots [0, informed_before) whose
 /// transmit flag is set (null = every slot transmits), appending the newly
-/// informed to newly_ in the serial discovery order: ascending slot k, grid
-/// scan order within a slot, first discovery wins. The parallel path
-/// reproduces that order exactly — lanes are ascending contiguous k-ranges,
-/// each lane records its first sighting of an agent, and the lane-order
-/// merge keeps the globally first one.
+/// informed to newly_ in the one-lane discovery order: ascending slot k,
+/// grid scan order within a slot, first discovery wins. Lanes are ascending
+/// contiguous k-ranges; each lane dedups against its own copy of
+/// msg.touched, so it keeps only its first sighting of an agent, and the
+/// lane-order merge keeps the globally first one.
 void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_before,
                                      const std::uint8_t* transmit) {
     const auto positions = walker_.positions();
@@ -181,59 +179,25 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
     // uninformed agent are skipped bucket-wise.
     const bool use_skip = prepare_skip_tables(msg, informed_before, /*uninformed=*/true);
 
-    if (exec_ == nullptr) {
-        for (std::size_t k = 0; k < informed_before; ++k) {
-            if (transmit != nullptr && transmit[k] == 0) {
-                continue;
-            }
-            const std::uint32_t b = msg.informed_list[k];
-            const geom::vec2 p = positions[b];
-            if (use_skip && nb_counts_[grid_.bucket_of_item(b)] == 0) {
-                continue;
-            }
-            grid_.visit_covering_buckets(
-                p, radius_, [&](std::size_t bucket, std::size_t begin, std::size_t end) {
-                    if (!use_skip || bucket_counts_[bucket] != 0) {
-                        for (std::size_t s = begin; s < end; ++s) {
-                            if (geom::dist2(sorted[s], p) <= r2 && !msg.touched.test(items[s])) {
-                                msg.touched.set(items[s]);  // don't re-add this step
-                                newly_.push_back(items[s]);
-                            }
-                        }
-                    }
-                    return false;
-                });
-        }
-        return;
-    }
-
     const std::size_t lanes = exec_->lanes();
-    const std::size_t n = walker_.size();
     lane_newly_.resize(lanes);
-    lane_seen_.resize(lanes);
+    lane_touched_.resize(lanes);
     // Pre-clear every lane buffer: run() skips empty ranges, and a lane
     // that was non-empty in an earlier (larger-count) scan of another
     // message would otherwise leak its stale candidates into the merge.
     for (auto& out : lane_newly_) {
         out.clear();
     }
-    if (++scan_epoch_ == 0) {  // stamp wrap-around: invalidate stale stamps
-        for (auto& seen : lane_seen_) {
-            std::fill(seen.begin(), seen.end(), 0);
-        }
-        scan_epoch_ = 1;
-    }
-    const std::uint32_t epoch = scan_epoch_;
 
-    // Parallel phase: read-only on the message's informed state, the grid
-    // and positions; every lane writes only its own buffers. Cross-lane
-    // duplicates are possible and resolved by the ordered merge below. The
-    // skip tables are frozen before the fan-out, so every lane consults the
-    // same (exact, scan-start) counts the serial path starts from.
+    // Lanes read the message's informed state, the grid and positions, and
+    // write only their own buffers. Cross-lane duplicates are possible and
+    // resolved by the ordered merge below. The skip tables are frozen
+    // before the fan-out, so every lane consults the same (exact,
+    // scan-start) counts.
     exec_->run(informed_before, [&](std::size_t lane, std::size_t begin, std::size_t end) {
         auto& out = lane_newly_[lane];
-        auto& seen = lane_seen_[lane];
-        seen.resize(n, 0);
+        util::bitset64& touched = lane_touched_[lane];
+        touched = msg.touched;  // n/64 words; reuses the lane's storage
         for (std::size_t k = begin; k < end; ++k) {
             if (transmit != nullptr && transmit[k] == 0) {
                 continue;
@@ -247,11 +211,9 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
                 p, radius_, [&](std::size_t bucket, std::size_t bkt_begin, std::size_t bkt_end) {
                     if (!use_skip || bucket_counts_[bucket] != 0) {
                         for (std::size_t s = bkt_begin; s < bkt_end; ++s) {
-                            const std::uint32_t a = items[s];
-                            if (geom::dist2(sorted[s], p) <= r2 && !msg.touched.test(a) &&
-                                seen[a] != epoch) {
-                                seen[a] = epoch;
-                                out.push_back(a);
+                            if (geom::dist2(sorted[s], p) <= r2 && !touched.test(items[s])) {
+                                touched.set(items[s]);  // don't re-add this step
+                                out.push_back(items[s]);
                             }
                         }
                     }
@@ -271,9 +233,12 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
 }
 
 /// The dual scan for dense informed sets: probe every still-uninformed agent
-/// for an already-informed neighbour. Each agent is appended by its own
-/// iteration only, so lane buffers concatenate to the ascending-id serial
-/// order with no dedup needed.
+/// for an already-informed neighbour. for_each_clear enumerates exactly the
+/// still-uninformed agents of a lane's id range in ascending order, skipping
+/// fully-informed 64-agent words with a single compare. Each agent is
+/// appended by its own iteration only, so lane buffers concatenate to the
+/// ascending-id order with no dedup needed. An agent found here cannot
+/// inform others this step: probes test `committed`, never `touched`.
 void flooding_sim::scan_uninformed(message_state& msg) {
     const auto positions = walker_.positions();
     const std::size_t n = walker_.size();
@@ -307,22 +272,6 @@ void flooding_sim::scan_uninformed(message_state& msg) {
                 return false;
             });
     };
-
-    if (exec_ == nullptr) {
-        // for_each_clear enumerates exactly the still-uninformed agents in
-        // ascending id order, skipping fully-informed 64-agent words with a
-        // single compare. Setting the visited bit inside the callback is
-        // fine (snapshot semantics, util/bitset.h) — and required for the
-        // serial discovery order: an agent informed here must not inform
-        // others until committed, which `committed` already guarantees.
-        msg.touched.for_each_clear(0, n, [&](std::size_t a) {
-            if (probe(a)) {
-                msg.touched.set(a);
-                newly_.push_back(static_cast<std::uint32_t>(a));
-            }
-        });
-        return;
-    }
 
     const std::size_t lanes = exec_->lanes();
     lane_newly_.resize(lanes);
@@ -359,44 +308,40 @@ void flooding_sim::propagate_one_hop(message_state& msg) {
 
 /// Build the step's proximity components once; every per_component message
 /// of this step shares them (connectivity does not depend on which message
-/// asks). The expensive neighbourhood scans fan over lanes into per-lane
-/// edge lists; the near-linear unites stay serial. Connectivity (and hence
-/// each message's newly set) is independent of the unite order, so results
-/// match the serial path exactly.
+/// asks). The neighbourhood scans fan over lanes, each uniting its edges in
+/// a lane-private union-find; dsu_ then joins every agent to its root in
+/// each lane's forest. Connectivity (and hence each message's newly set) is
+/// independent of the unite order, so results are the same at any lane
+/// count.
 void flooding_sim::build_components() {
     const util::phase_timer timing(profile_, util::phase::components);
     const auto positions = walker_.positions();
     const std::size_t n = walker_.size();
     dsu_.reset(n);
 
-    if (exec_ == nullptr) {
-        for (std::uint32_t i = 0; i < n; ++i) {
+    const std::size_t lanes = exec_->lanes();
+    lane_dsu_.resize(lanes, graph::union_find{0});
+    exec_->run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+        graph::union_find& dsu = lane_dsu_[lane];
+        dsu.reset(n);
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto a = static_cast<std::uint32_t>(i);
             grid_.for_each_in_radius(positions[i], radius_, [&](std::uint32_t j) {
-                if (j > i) {
-                    dsu_.unite(i, j);
+                if (j > a) {
+                    dsu.unite(a, j);
                 }
             });
         }
-    } else {
-        const std::size_t lanes = exec_->lanes();
-        lane_edges_.resize(lanes);
-        for (auto& edges : lane_edges_) {
-            edges.clear();  // run() skips empty ranges; drop stale lane content
+    });
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if (exec_->lane_begin(n, lane) == exec_->lane_begin(n, lane + 1)) {
+            continue;  // run() skipped this empty range: the forest is stale
         }
-        exec_->run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-            auto& edges = lane_edges_[lane];
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto a = static_cast<std::uint32_t>(i);
-                grid_.for_each_in_radius(positions[i], radius_, [&](std::uint32_t j) {
-                    if (j > a) {
-                        edges.emplace_back(a, j);
-                    }
-                });
-            }
-        });
-        for (const auto& edges : lane_edges_) {
-            for (const auto& [i, j] : edges) {
-                dsu_.unite(i, j);
+        graph::union_find& dsu = lane_dsu_[lane];
+        for (std::uint32_t a = 0; a < n; ++a) {
+            const std::uint32_t root = dsu.find(a);
+            if (root != a) {
+                dsu_.unite(a, root);
             }
         }
     }
@@ -538,19 +483,11 @@ std::size_t flooding_sim::step() {
     ++step_count_;
     {
         const util::phase_timer timing(profile_, util::phase::advance);
-        if (exec_ != nullptr) {
-            walker_.step(*exec_);
-        } else {
-            walker_.step();
-        }
+        walker_.step(*exec_);
     }
     {
         const util::phase_timer timing(profile_, util::phase::grid_rebuild);
-        if (exec_ != nullptr) {
-            grid_.rebuild(walker_.positions(), *exec_);
-        } else {
-            grid_.rebuild(walker_.positions());
-        }
+        grid_.rebuild(walker_.positions(), *exec_);
     }
     dsu_ready_ = false;
 
@@ -632,7 +569,5 @@ spread_result flooding_sim::run_spread() {
     }
     return result;
 }
-
-flood_result flooding_sim::run() { return to_flood_result(run_spread(), 0); }
 
 }  // namespace manhattan::core

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/cell_partition.h"
@@ -29,51 +28,35 @@
 
 namespace manhattan::core {
 
-/// Single-message flooding run configuration (the pre-spread API, kept as a
-/// thin view: it converts into a one-message spread_config).
-struct flood_config {
-    propagation mode = propagation::one_hop;
-    std::size_t source = 0;              ///< initially informed agent
-    std::uint64_t max_steps = 1'000'000; ///< give-up horizon for run()
-    bool record_timeline = true;         ///< keep per-step informed counts
-    double gossip_p = 1.0;               ///< forward probability (gossip mode)
-    std::uint64_t gossip_seed = 1;       ///< seed of the gossip coin stream
-
-    /// The equivalent one-message spread workload.
-    [[nodiscard]] spread_config to_spread_config() const;
-};
-
 /// Discrete-time spread simulation over a walker population.
 ///
 /// The walker is owned (moved in). An optional cell_partition observer
 /// enables the Central-Zone / Suburb metrics; it must outlive the simulation.
 ///
-/// An optional parallel_executor (util/parallel.h, borrowed — must outlive
-/// the simulation) fans the per-step phases (mobility advance, grid
-/// rebuild, neighbourhood scans) over its lanes. The executor never changes
-/// outcomes: every spread_result is bit-identical to the serial (null
-/// executor) run at any lane count, for every propagation mode — the same
-/// guarantee docs/ENGINE.md makes across replicas, here within one replica
-/// (see docs/PERF.md for the mechanism). Per-message randomness (gossip
-/// coins, random-k source draws) comes from each message's own seeds, so
-/// messages never perturb each other's streams (docs/WORKLOADS.md).
+/// Every per-step phase (mobility advance, grid rebuild, neighbourhood
+/// scans) is one lane kernel run on a parallel_executor (util/parallel.h,
+/// borrowed — must outlive the simulation). A null executor means one lane
+/// on the calling thread (util::serial_executor); there is no separate
+/// serial implementation. The executor never changes outcomes: every
+/// spread_result is bit-identical at any lane count, for every propagation
+/// mode — the same guarantee docs/ENGINE.md makes across replicas, here
+/// within one replica (see docs/PERF.md for the mechanism). Per-message
+/// randomness (gossip coins, random-k source draws) comes from each
+/// message's own seeds, so messages never perturb each other's streams
+/// (docs/WORKLOADS.md).
 class flooding_sim {
  public:
-    /// Multi-message constructor. Throws if the spread has no messages, a
-    /// source spec is unsatisfiable, radius is not positive, a gossip-mode
-    /// message has gossip_p outside (0, 1], or the stop rule is invalid.
+    /// Throws if the spread has no messages, a source spec is unsatisfiable,
+    /// radius is not positive, a gossip-mode message has gossip_p outside
+    /// (0, 1], or the stop rule is invalid.
     flooding_sim(mobility::walker agents, double radius, spread_config cfg,
                  const cell_partition* cells = nullptr,
                  util::parallel_executor* exec = nullptr);
 
-    /// Single-message compatibility constructor (wraps to_spread_config()).
-    flooding_sim(mobility::walker agents, double radius, flood_config cfg = {},
-                 const cell_partition* cells = nullptr,
-                 util::parallel_executor* exec = nullptr);
-
-    /// Swap the borrowed executor (nullptr = serial). Takes effect from the
-    /// next step(); never changes what the simulation computes.
-    void set_executor(util::parallel_executor* exec) noexcept { exec_ = exec; }
+    /// Swap the borrowed executor (nullptr = one lane on the calling
+    /// thread). Takes effect from the next step(); never changes what the
+    /// simulation computes.
+    void set_executor(util::parallel_executor* exec) noexcept;
 
     /// Advance one time step (move + transmit every live message). Returns
     /// the newly informed count summed over all messages.
@@ -82,10 +65,6 @@ class flooding_sim {
     /// Run until every message satisfies the stop rule or cfg.max_steps is
     /// hit; return per-message results.
     [[nodiscard]] spread_result run_spread();
-
-    /// Run and return the single-message view of message 0 (the pre-spread
-    /// API; equivalent to to_flood_result(run_spread())).
-    [[nodiscard]] flood_result run();
 
     /// Every message spawned and fully informed.
     [[nodiscard]] bool all_informed() const noexcept;
@@ -183,7 +162,7 @@ class flooding_sim {
     spread_config cfg_;
     std::size_t stop_fraction_count_ = 0;  ///< resolved informed_fraction target
     const cell_partition* cells_;
-    util::parallel_executor* exec_;
+    util::parallel_executor* exec_;  ///< never null (see set_executor)
     geom::uniform_grid grid_;
     std::vector<message_state> messages_;
     std::uint64_t step_count_ = 0;
@@ -193,12 +172,11 @@ class flooding_sim {
     // Per-step scratch, shared by every message and reused so the hot path
     // never allocates in steady state. lane_* vectors are indexed by
     // executor lane; the merge back into newly_ happens in lane order, which
-    // reproduces the serial discovery order exactly (see docs/PERF.md).
+    // reproduces the one-lane discovery order exactly (see docs/PERF.md).
     std::vector<std::uint32_t> newly_;
     std::vector<std::vector<std::uint32_t>> lane_newly_;
-    std::vector<std::vector<std::uint32_t>> lane_seen_;  ///< per-lane epoch stamps
-    std::uint32_t scan_epoch_ = 0;
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> lane_edges_;
+    std::vector<util::bitset64> lane_touched_;  ///< per-lane copy of msg.touched
+    std::vector<graph::union_find> lane_dsu_;  ///< per-lane components (build_components)
     graph::union_find dsu_{0};
     std::vector<std::uint8_t> root_informed_;
 

@@ -98,7 +98,6 @@ scenario_outcome run_scenario(const scenario& sc) {
 
     flooding_sim sim(std::move(agents), sc.params.radius, std::move(cfg), cells.get(), exec);
     out.spread = sim.run_spread();
-    out.flood = to_flood_result(out.spread, 0);
     out.phases = sim.profile();
     if (!out.spread.messages.front().sources.empty()) {
         out.source_agent = out.spread.messages.front().sources.front();

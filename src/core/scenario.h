@@ -43,7 +43,7 @@ struct scenario {
     bool with_cell_partition = true;    ///< track Central-Zone metrics when feasible
 
     /// Intra-replica worker threads for the per-step loop (mobility advance,
-    /// grid rebuild, neighbourhood scans): 1 = the plain serial path,
+    /// grid rebuild, neighbourhood scans): 1 = one lane on the calling thread,
     /// 0 = hardware concurrency, k = a k-worker pool. Outcomes are
     /// bit-identical for every value (see docs/PERF.md); this knob only
     /// trades wall-clock. Prefer it for few large replicas; when fanning
@@ -62,8 +62,7 @@ struct scenario {
 
 /// Output of one scenario run.
 struct scenario_outcome {
-    flood_result flood;              ///< single-message view of message 0
-    spread_result spread;            ///< the full per-message results
+    spread_result spread;            ///< per-message results; message 0 is the headline
     std::size_t source_agent = 0;    ///< first resolved source of message 0
     double wall_seconds = 0.0;
     /// Per-phase step-loop timings — the replica-level telemetry snapshot

@@ -196,17 +196,17 @@ std::vector<sweep_point> sweep_spec::expand() const {
 /// O(points x reps) scalars (declared in manifest.h; fabric workers share
 /// this definition).
 replica_stat reduce_outcome(const core::scenario_outcome& out) {
-    replica_stat stat{static_cast<double>(out.flood.flooding_time), out.flood.completed,
-                      out.flood.central_zone_informed_step, out.suburb_diameter,
+    // The headline is message 0. An incomplete message's flooding_time is
+    // already the steps the run took.
+    const core::message_result& headline = out.spread.messages.front();
+    replica_stat stat{static_cast<double>(headline.flooding_time), headline.completed,
+                      headline.central_zone_informed_step, out.suburb_diameter,
                       out.wall_seconds,
                       {}, {}};
     stat.message_times.reserve(out.spread.messages.size());
     stat.message_completed.reserve(out.spread.messages.size());
     for (const auto& msg : out.spread.messages) {
-        // Same convention as the headline time: an incomplete message
-        // contributes the steps the run took.
-        stat.message_times.push_back(
-            static_cast<double>(msg.completed ? msg.flooding_time : out.spread.steps));
+        stat.message_times.push_back(static_cast<double>(msg.flooding_time));
         stat.message_completed.push_back(msg.completed ? 1 : 0);
     }
     return stat;

@@ -21,38 +21,13 @@ std::int32_t uniform_grid::bucket_index(double v) const noexcept {
 }
 
 void uniform_grid::rebuild(std::span<const vec2> positions) {
-    const std::size_t n = positions.size();
-    const std::size_t bucket_count =
-        static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
-    offsets_.assign(bucket_count + 1, 0);
-    items_.resize(n);
-    sorted_points_.resize(n);
-    bucket_of_.resize(n);
-
-    // Counting sort: count, prefix-sum, scatter.
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t b = bucket_of(positions[i]);
-        bucket_of_[i] = static_cast<std::uint32_t>(b);
-        ++offsets_[b + 1];
-    }
-    for (std::size_t b = 0; b < bucket_count; ++b) {
-        offsets_[b + 1] += offsets_[b];
-    }
-    cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t slot = cursor_[bucket_of_[i]]++;
-        items_[slot] = static_cast<std::uint32_t>(i);
-        sorted_points_[slot] = positions[i];
-    }
+    util::serial_executor one_lane;
+    rebuild(positions, one_lane);
 }
 
 void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_executor& ex) {
     const std::size_t lanes = ex.lanes();
     const std::size_t n = positions.size();
-    if (lanes <= 1 || n < 2 * lanes) {
-        rebuild(positions);
-        return;
-    }
     const std::size_t bucket_count =
         static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
     items_.resize(n);
@@ -60,7 +35,8 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
     bucket_of_.resize(n);
     lane_hist_.assign(lanes * bucket_count, 0);
 
-    // Per-lane histograms over contiguous index slices.
+    // Counting sort: per-lane histograms over contiguous index slices
+    // (lanes whose slice is empty keep an all-zero histogram).
     ex.run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
         std::size_t* hist = lane_hist_.data() + lane * bucket_count;
         for (std::size_t i = begin; i < end; ++i) {
@@ -70,9 +46,9 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
         }
     });
 
-    // Serial merge: CSR offsets plus a starting write cursor per
+    // Prefix sum: CSR offsets plus a starting write cursor per
     // (bucket, lane). Within a bucket, lane slots are laid out in lane
-    // order, so the scatter below reproduces the serial item order exactly.
+    // order, so items end up in ascending index order at any lane count.
     offsets_.resize(bucket_count + 1);
     offsets_[0] = 0;
     for (std::size_t b = 0; b < bucket_count; ++b) {
@@ -86,7 +62,7 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
         offsets_[b + 1] = next;
     }
 
-    // Parallel scatter into disjoint slot ranges (same lane partition as the
+    // Scatter into disjoint slot ranges (same lane partition as the
     // histogram pass — lane_begin is a pure function of (n, lanes)).
     ex.run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
         std::size_t* cursor = lane_hist_.data() + lane * bucket_count;

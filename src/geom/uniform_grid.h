@@ -1,8 +1,8 @@
 /// \file uniform_grid.h
 /// Bucketed spatial index over agent positions. Rebuilt once per simulated
-/// time step (counting sort, O(n), optionally parallel over a lane
-/// executor); answers "all agents within Euclidean distance r of p" by
-/// scanning the covering bucket rectangle. With bucket side ~= R this is the
+/// time step (counting sort, O(n), over the lanes of an executor); answers
+/// "all agents within Euclidean distance r of p" by scanning the covering
+/// bucket rectangle. With bucket side ~= R this is the
 /// classic O(1 + local density) disk-graph query. Positions are stored
 /// bucket-sorted, so a radius query walks contiguous memory instead of
 /// indirecting through the item ids.
@@ -25,17 +25,17 @@ class uniform_grid {
     /// touches at most 3x3 buckets). Throws if arguments are not positive.
     uniform_grid(double side, double min_bucket_side);
 
-    /// Re-bin all positions (serial counting sort; scratch buffers are
-    /// reused, so steady-state rebuilds allocate nothing). Indices reported
-    /// by queries refer to positions in this span. Positions are copied so
-    /// the caller may mutate theirs.
-    void rebuild(std::span<const vec2> positions);
-
-    /// Parallel rebuild: per-lane histograms merged into the CSR offsets,
-    /// then a per-lane scatter into disjoint slot ranges. Produces arrays
-    /// bit-identical to the serial rebuild at any lane count (within every
-    /// bucket, items stay in ascending index order).
+    /// Re-bin all positions with a counting sort over \p ex's lanes:
+    /// per-lane histograms merged into the CSR offsets, then a per-lane
+    /// scatter into disjoint slot ranges. Within every bucket items stay in
+    /// ascending index order, so the arrays are bit-identical at any lane
+    /// count. Scratch buffers are reused, so steady-state rebuilds allocate
+    /// nothing. Indices reported by queries refer to positions in this span.
+    /// Positions are copied so the caller may mutate theirs.
     void rebuild(std::span<const vec2> positions, util::parallel_executor& ex);
+
+    /// rebuild() on one lane of the calling thread.
+    void rebuild(std::span<const vec2> positions);
 
     [[nodiscard]] double side() const noexcept { return side_; }
     [[nodiscard]] double bucket_side() const noexcept { return bucket_side_; }
@@ -168,8 +168,7 @@ class uniform_grid {
     // Rebuild scratch, reused across steps (the per-step hot path must not
     // allocate):
     std::vector<std::uint32_t> bucket_of_;  // bucket of every input point
-    std::vector<std::size_t> cursor_;       // serial: write cursor per bucket
-    std::vector<std::size_t> lane_hist_;    // parallel: lane-major histograms / cursors
+    std::vector<std::size_t> lane_hist_;    // lane-major histograms / write cursors
 };
 
 }  // namespace manhattan::geom

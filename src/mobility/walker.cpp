@@ -31,23 +31,17 @@ walker::walker(std::shared_ptr<const mobility_model> model, std::size_t n, doubl
     arrival_counts_.assign(n, 0);
 }
 
-void walker::advance_all(double distance, util::parallel_executor* ex) {
-    const std::size_t lanes = ex != nullptr ? ex->lanes() : 1;
-    pending_.resize(lanes);
+void walker::advance_all(double distance, util::parallel_executor& ex) {
+    pending_.resize(ex.lanes());
     for (auto& pending : pending_) {
         pending.clear();  // run() skips empty ranges; drop stale lane content
     }
-    if (ex != nullptr) {
-        ex->run(soa_.size(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
-            advance_lane(*model_, soa_, begin, end, distance, turn_counts_.data(),
-                         arrival_counts_.data(), pending_[lane]);
-        });
-    } else {
-        advance_lane(*model_, soa_, 0, soa_.size(), distance, turn_counts_.data(),
-                     arrival_counts_.data(), pending_[0]);
-    }
+    ex.run(soa_.size(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
+        advance_lane(*model_, soa_, begin, end, distance, turn_counts_.data(),
+                     arrival_counts_.data(), pending_[lane]);
+    });
     // Lanes are contiguous ascending ranges, so draining them in lane order
-    // visits pending agents in ascending id — the serial draw order.
+    // visits pending agents in ascending id — the one-lane draw order.
     for (const auto& pending : pending_) {
         resume_pending(pending);
     }
@@ -64,12 +58,12 @@ void walker::resume_pending(const std::vector<pending_trip>& pending) {
 }
 
 void walker::step() {
-    advance_all(speed_, nullptr);
-    ++steps_;
+    util::serial_executor one_lane;
+    step(one_lane);
 }
 
 void walker::step(util::parallel_executor& ex) {
-    advance_all(speed_, &ex);
+    advance_all(speed_, ex);
     ++steps_;
 }
 
@@ -77,7 +71,8 @@ void walker::advance_time(double duration) {
     if (duration < 0.0) {
         throw std::invalid_argument("walker::advance_time: duration must be non-negative");
     }
-    advance_all(duration * speed_, nullptr);
+    util::serial_executor one_lane;
+    advance_all(duration * speed_, one_lane);
 }
 
 trip_state walker::agent(std::size_t i) const {

@@ -31,21 +31,21 @@ enum class start_mode {
 /// the SoA spans) first, then the pending trip draws replayed serially in
 /// ascending agent-id order — consuming gen_ exactly as a draw-interleaved
 /// per-agent loop would, since the kinematics never reads the generator.
-/// The serial and parallel paths are the same kernel at different lane
-/// counts, so positions, trip states and the generator state are
-/// bit-identical at any lane count (docs/PERF.md).
+/// step() is step(ex) on one lane of the calling thread, so positions, trip
+/// states and the generator state are bit-identical at any lane count
+/// (docs/PERF.md).
 class walker {
  public:
     /// Throws if n == 0 or speed < 0.
     walker(std::shared_ptr<const mobility_model> model, std::size_t n, double speed,
            rng::rng gen, start_mode start = start_mode::stationary);
 
-    /// Advance every agent by one time unit (travel distance = speed).
-    void step();
-
-    /// Parallel step(): the kinematics fan over \p ex's lanes; outputs are
-    /// bit-identical to step() at any lane count (see class comment).
+    /// Advance every agent by one time unit (travel distance = speed); the
+    /// kinematics fan over \p ex's lanes (see class comment).
     void step(util::parallel_executor& ex);
+
+    /// step() on one lane of the calling thread.
+    void step();
 
     /// Advance every agent by \p duration time units without per-step
     /// bookkeeping (used to warm a non-exact sampler into stationarity;
@@ -85,9 +85,9 @@ class walker {
     void set_agent(std::size_t i, const trip_state& s);
 
  private:
-    /// Advance all agents by \p distance: lane kernel (serial or over \p ex),
-    /// then the pending draws in ascending agent-id order.
-    void advance_all(double distance, util::parallel_executor* ex);
+    /// Advance all agents by \p distance: the lane kernel over \p ex, then
+    /// the pending draws in ascending agent-id order.
+    void advance_all(double distance, util::parallel_executor& ex);
     void resume_pending(const std::vector<pending_trip>& pending);
 
     std::shared_ptr<const mobility_model> model_;

@@ -181,7 +181,8 @@ TEST(runner_test, outcomes_match_serial_run_scenario) {
         core::scenario replica = sc;
         replica.seed = seeds[r];
         const auto reference = core::run_scenario(replica);
-        EXPECT_EQ(outcomes[r].flood.flooding_time, reference.flood.flooding_time);
+        EXPECT_EQ(outcomes[r].spread.messages[0].flooding_time,
+                  reference.spread.messages[0].flooding_time);
         EXPECT_EQ(outcomes[r].source_agent, reference.source_agent);
     }
 }

@@ -1,7 +1,8 @@
 // Unit tests for the flooding engine: exact hop semantics on frozen
 // geometries, both propagation modes, metric bookkeeping, and determinism —
-// including the intra-replica threading contract: a flood_result is
-// bit-identical for a null executor and for pools of 1, 2 and 8 workers.
+// including the intra-replica threading contract: a message_result is
+// bit-identical for a null executor (one lane), for 2, 3, 7 and 64 inline
+// lanes, and for pools of 1, 2 and 8 workers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "mobility/mrwp.h"
 #include "mobility/static_model.h"
 #include "mobility/walker.h"
+#include "test_support.h"
 
 namespace {
 
@@ -21,6 +23,8 @@ namespace core = manhattan::core;
 namespace mobility = manhattan::mobility;
 using manhattan::geom::vec2;
 using manhattan::rng::rng;
+using manhattan::test_support::inline_lanes;
+using manhattan::test_support::one_message;
 
 constexpr double kL = 100.0;
 
@@ -41,15 +45,15 @@ mobility::walker frozen_walker(const std::vector<vec2>& positions) {
 
 TEST(flooding_test, validates_arguments) {
     auto w = frozen_walker({{1, 1}, {2, 2}});
-    core::flood_config cfg;
-    cfg.source = 5;
-    EXPECT_THROW((void)core::flooding_sim(std::move(w), 1.0, cfg), std::invalid_argument);
+    EXPECT_THROW((void)core::flooding_sim(std::move(w), 1.0, one_message(5)),
+                 std::invalid_argument);
     auto w2 = frozen_walker({{1, 1}});
-    EXPECT_THROW((void)core::flooding_sim(std::move(w2), 0.0), std::invalid_argument);
+    EXPECT_THROW((void)core::flooding_sim(std::move(w2), 0.0, one_message()),
+                 std::invalid_argument);
 }
 
 TEST(flooding_test, source_is_informed_at_time_zero) {
-    core::flooding_sim sim(frozen_walker({{1, 1}, {50, 50}}), 1.0);
+    core::flooding_sim sim(frozen_walker({{1, 1}, {50, 50}}), 1.0, one_message());
     EXPECT_TRUE(sim.is_informed(0));
     EXPECT_FALSE(sim.is_informed(1));
     EXPECT_EQ(sim.informed_count(), 1u);
@@ -62,8 +66,8 @@ TEST(flooding_test, chain_floods_one_hop_per_step) {
     for (int i = 0; i < 5; ++i) {
         chain.push_back({10.0 + i, 10.0});
     }
-    core::flooding_sim sim(frozen_walker(chain), 1.0);
-    const auto result = sim.run();
+    core::flooding_sim sim(frozen_walker(chain), 1.0, one_message());
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.flooding_time, 4u);
     for (int i = 0; i < 5; ++i) {
@@ -76,26 +80,26 @@ TEST(flooding_test, per_component_floods_chain_in_one_step) {
     for (int i = 0; i < 5; ++i) {
         chain.push_back({10.0 + i, 10.0});
     }
-    core::flood_config cfg;
-    cfg.mode = core::propagation::per_component;
+    auto cfg = one_message();
+    cfg.spread.messages[0].mode = core::propagation::per_component;
     core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.flooding_time, 1u);
 }
 
 TEST(flooding_test, clique_floods_in_one_step) {
     core::flooding_sim sim(frozen_walker({{10, 10}, {10.5, 10}, {10, 10.5}, {10.5, 10.5}}),
-                           2.0);
-    const auto result = sim.run();
+                           2.0, one_message());
+    const auto result = sim.run_spread().messages[0];
     EXPECT_EQ(result.flooding_time, 1u);
 }
 
 TEST(flooding_test, isolated_static_agent_never_informed) {
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.max_steps = 50;
     core::flooding_sim sim(frozen_walker({{10, 10}, {90, 90}}), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_FALSE(result.completed);
     EXPECT_EQ(result.flooding_time, 50u);
     EXPECT_EQ(result.informed_count, 1u);
@@ -107,10 +111,10 @@ TEST(flooding_test, timeline_is_monotone_and_ends_at_n) {
     for (int i = 0; i < 8; ++i) {
         chain.push_back({10.0 + i, 10.0});
     }
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.record_timeline = true;
     core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     ASSERT_FALSE(result.timeline.empty());
     for (std::size_t t = 1; t < result.timeline.size(); ++t) {
         EXPECT_GE(result.timeline[t], result.timeline[t - 1]);
@@ -123,10 +127,10 @@ TEST(flooding_test, informed_at_is_consistent_with_timeline) {
     for (int i = 0; i < 6; ++i) {
         chain.push_back({10.0 + 0.9 * i, 10.0});
     }
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.record_timeline = true;
     core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     for (std::size_t t = 0; t < result.timeline.size(); ++t) {
         std::size_t count = 0;
         for (const auto at : result.informed_at) {
@@ -141,18 +145,16 @@ TEST(flooding_test, nonzero_source_works) {
     for (int i = 0; i < 5; ++i) {
         chain.push_back({10.0 + i, 10.0});
     }
-    core::flood_config cfg;
-    cfg.source = 4;  // flood from the far end
-    core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    core::flooding_sim sim(frozen_walker(chain), 1.0, one_message(4));  // from the far end
+    const auto result = sim.run_spread().messages[0];
     EXPECT_EQ(result.flooding_time, 4u);
     EXPECT_EQ(result.informed_at[0], 4u);
     EXPECT_EQ(result.informed_at[4], 0u);
 }
 
 TEST(flooding_test, single_agent_is_trivially_complete) {
-    core::flooding_sim sim(frozen_walker({{10, 10}}), 1.0);
-    const auto result = sim.run();
+    core::flooding_sim sim(frozen_walker({{10, 10}}), 1.0, one_message());
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.flooding_time, 0u);
 }
@@ -161,7 +163,7 @@ TEST(flooding_test, newly_informed_do_not_transmit_same_step) {
     // 0 at distance 1 of 1; 1 at distance 1 of 2; 0 and 2 at distance 2 > R.
     // If newly informed agents transmitted immediately, 2 would be informed
     // at step 1; the paper's protocol informs it at step 2.
-    core::flooding_sim sim(frozen_walker({{10, 10}, {11, 10}, {12, 10}}), 1.0);
+    core::flooding_sim sim(frozen_walker({{10, 10}, {11, 10}, {12, 10}}), 1.0, one_message());
     (void)sim.step();
     EXPECT_TRUE(sim.is_informed(1));
     EXPECT_FALSE(sim.is_informed(2));
@@ -173,27 +175,29 @@ TEST(flooding_test, mobile_runs_are_deterministic_per_seed) {
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(kL);
     auto make = [&] {
         mobility::walker w(model, 300, 1.0, rng{77});
-        core::flood_config cfg;
+        auto cfg = one_message();
         cfg.max_steps = 5000;
         return core::flooding_sim(std::move(w), 8.0, cfg);
     };
-    auto a = make().run();
-    auto b = make().run();
+    auto a = make().run_spread().messages[0];
+    auto b = make().run_spread().messages[0];
     EXPECT_EQ(a.flooding_time, b.flooding_time);
     EXPECT_EQ(a.informed_at, b.informed_at);
 }
 
 TEST(flooding_test, both_modes_agree_on_completion_and_component_is_faster) {
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(kL);
-    core::flood_config one_hop_cfg;
+    auto one_hop_cfg = one_message();
     one_hop_cfg.max_steps = 20'000;
-    core::flood_config comp_cfg = one_hop_cfg;
-    comp_cfg.mode = core::propagation::per_component;
+    auto comp_cfg = one_hop_cfg;
+    comp_cfg.spread.messages[0].mode = core::propagation::per_component;
 
     mobility::walker w1(model, 400, 1.0, rng{5});
-    const auto one_hop = core::flooding_sim(std::move(w1), 8.0, one_hop_cfg).run();
+    const auto one_hop =
+        core::flooding_sim(std::move(w1), 8.0, one_hop_cfg).run_spread().messages[0];
     mobility::walker w2(model, 400, 1.0, rng{5});
-    const auto comp = core::flooding_sim(std::move(w2), 8.0, comp_cfg).run();
+    const auto comp =
+        core::flooding_sim(std::move(w2), 8.0, comp_cfg).run_spread().messages[0];
 
     ASSERT_TRUE(one_hop.completed);
     ASSERT_TRUE(comp.completed);
@@ -208,18 +212,18 @@ TEST(flooding_test, central_zone_metrics_tracked_with_partition) {
 
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(side);
     mobility::walker w(model, n, core::paper::speed_bound(radius), rng{6});
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.max_steps = 50'000;
     core::flooding_sim sim(std::move(w), radius, cfg, &cells);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     ASSERT_TRUE(result.completed);
     ASSERT_TRUE(result.central_zone_informed_step.has_value());
     EXPECT_LE(*result.central_zone_informed_step, result.flooding_time);
 }
 
 TEST(flooding_test, without_partition_no_cz_metric) {
-    core::flooding_sim sim(frozen_walker({{10, 10}, {10.5, 10}}), 1.0);
-    const auto result = sim.run();
+    core::flooding_sim sim(frozen_walker({{10, 10}, {10.5, 10}}), 1.0, one_message());
+    const auto result = sim.run_spread().messages[0];
     EXPECT_FALSE(result.central_zone_informed_step.has_value());
 }
 
@@ -236,9 +240,10 @@ TEST(gossip_test, probability_one_matches_one_hop_exactly) {
     sc.mode = core::propagation::gossip;
     sc.gossip_p = 1.0;
     const auto gossip = core::run_scenario(sc);
-    ASSERT_TRUE(one_hop.flood.completed);
-    EXPECT_EQ(gossip.flood.flooding_time, one_hop.flood.flooding_time);
-    EXPECT_EQ(gossip.flood.informed_at, one_hop.flood.informed_at);
+    ASSERT_TRUE(one_hop.spread.messages[0].completed);
+    EXPECT_EQ(gossip.spread.messages[0].flooding_time,
+              one_hop.spread.messages[0].flooding_time);
+    EXPECT_EQ(gossip.spread.messages[0].informed_at, one_hop.spread.messages[0].informed_at);
 }
 
 TEST(gossip_test, lossy_forwarding_is_deterministic_and_no_faster) {
@@ -253,31 +258,32 @@ TEST(gossip_test, lossy_forwarding_is_deterministic_and_no_faster) {
     sc.gossip_p = 0.3;
     const auto a = core::run_scenario(sc);
     const auto b = core::run_scenario(sc);
-    ASSERT_TRUE(a.flood.completed);
-    EXPECT_EQ(a.flood.flooding_time, b.flood.flooding_time);
-    EXPECT_EQ(a.flood.informed_at, b.flood.informed_at);
+    ASSERT_TRUE(a.spread.messages[0].completed);
+    EXPECT_EQ(a.spread.messages[0].flooding_time, b.spread.messages[0].flooding_time);
+    EXPECT_EQ(a.spread.messages[0].informed_at, b.spread.messages[0].informed_at);
     // Dropping transmissions can only slow the spread down.
-    EXPECT_GE(a.flood.flooding_time, reference.flood.flooding_time);
+    EXPECT_GE(a.spread.messages[0].flooding_time, reference.spread.messages[0].flooding_time);
 }
 
 TEST(gossip_test, invalid_probability_throws) {
-    core::flood_config cfg;
-    cfg.mode = core::propagation::gossip;
-    cfg.gossip_p = 0.0;
+    auto cfg = one_message();
+    core::message_spec& msg = cfg.spread.messages[0];
+    msg.mode = core::propagation::gossip;
+    msg.gossip_p = 0.0;
     EXPECT_THROW(core::flooding_sim(frozen_walker({{1, 1}, {2, 1}}), 1.0, cfg),
                  std::invalid_argument);
-    cfg.gossip_p = 1.5;
+    msg.gossip_p = 1.5;
     EXPECT_THROW(core::flooding_sim(frozen_walker({{1, 1}, {2, 1}}), 1.0, cfg),
                  std::invalid_argument);
-    cfg.gossip_p = 0.5;
+    msg.gossip_p = 0.5;
     EXPECT_NO_THROW(core::flooding_sim(frozen_walker({{1, 1}, {2, 1}}), 1.0, cfg));
 }
 
 // ------------------------------------------------- intra-replica threading ---
 
-// Full-field comparison of two flood_results (EXPECT_EQ on every member so a
-// mismatch names the field).
-void expect_same_result(const core::flood_result& a, const core::flood_result& b) {
+// Full-field comparison of two message_results (EXPECT_EQ on every member so
+// a mismatch names the field).
+void expect_same_result(const core::message_result& a, const core::message_result& b) {
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.flooding_time, b.flooding_time);
     EXPECT_EQ(a.informed_count, b.informed_count);
@@ -291,28 +297,36 @@ class intra_thread_determinism : public ::testing::TestWithParam<core::propagati
  protected:
     // A mobile mid-size run with a cell partition, exercising both one_hop
     // scan branches (few-informed and few-uninformed) along the way.
-    [[nodiscard]] core::flood_result run_with(manhattan::util::parallel_executor* exec) const {
+    [[nodiscard]] core::message_result run_with(
+        manhattan::util::parallel_executor* exec) const {
         const std::size_t n = 1200;
         const double side = std::sqrt(static_cast<double>(n));
         const double radius = 2.2 * std::sqrt(std::log(static_cast<double>(n)));
         auto model = std::make_shared<mobility::manhattan_random_waypoint>(side);
         mobility::walker w(model, n, core::paper::speed_bound(radius), rng{321});
-        core::flood_config cfg;
-        cfg.mode = GetParam();
+        auto cfg = one_message();
         cfg.max_steps = 50'000;
         cfg.record_timeline = true;
-        cfg.gossip_p = GetParam() == core::propagation::gossip ? 0.35 : 1.0;
-        cfg.gossip_seed = 99;
+        core::message_spec& msg = cfg.spread.messages[0];
+        msg.mode = GetParam();
+        msg.gossip_p = GetParam() == core::propagation::gossip ? 0.35 : 1.0;
+        msg.gossip_seed = 99;
         core::cell_partition cells(n, side, radius);
         core::flooding_sim sim(std::move(w), radius, cfg, &cells, exec);
-        return sim.run();
+        return sim.run_spread().messages[0];
     }
 };
 
 TEST_P(intra_thread_determinism, bit_identical_across_thread_counts_and_vs_serial) {
-    // The serial (null executor) run is the pre-threading reference path.
+    // The null executor runs the same lane kernels on one lane.
     const auto serial = run_with(nullptr);
     ASSERT_TRUE(serial.completed);
+    for (const std::size_t lanes : {1u, 2u, 3u, 7u, 64u}) {
+        inline_lanes inline_exec(lanes);
+        const auto laned = run_with(&inline_exec);
+        SCOPED_TRACE("inline lanes=" + std::to_string(lanes));
+        expect_same_result(serial, laned);
+    }
     for (const std::size_t threads : {1u, 2u, 8u}) {
         manhattan::engine::thread_pool pool(threads);
         const auto threaded = run_with(&pool.executor());
@@ -337,33 +351,38 @@ TEST(flooding_test, scenario_intra_threads_matches_serial_scenario) {
     const auto serial = core::run_scenario(sc);
     sc.intra_threads = 4;
     const auto threaded = core::run_scenario(sc);
-    ASSERT_TRUE(serial.flood.completed);
-    expect_same_result(serial.flood, threaded.flood);
+    ASSERT_TRUE(serial.spread.messages[0].completed);
+    expect_same_result(serial.spread.messages[0], threaded.spread.messages[0]);
     EXPECT_EQ(serial.source_agent, threaded.source_agent);
 }
 
 TEST(flooding_test, set_executor_mid_run_does_not_change_outcomes) {
-    // Alternating serial and pooled steps must trace the same trajectory as
-    // an all-serial run: the executor is pure mechanism.
+    // Cycling step by step through one lane, a 3-worker pool, 3 inline lanes
+    // and 64 inline lanes must trace the same trajectory as an all-one-lane
+    // run: the executor is pure mechanism.
     auto make_walker = [] {
         auto model = std::make_shared<mobility::manhattan_random_waypoint>(kL);
         return mobility::walker(model, 400, 1.0, rng{55});
     };
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.max_steps = 20'000;
     core::flooding_sim serial(make_walker(), 6.0, cfg);
     core::flooding_sim mixed(make_walker(), 6.0, cfg);
     manhattan::engine::thread_pool pool(3);
-    bool pooled = false;
+    inline_lanes three(3);
+    inline_lanes sixty_four(64);
+    manhattan::util::parallel_executor* const cycle[] = {nullptr, &pool.executor(), &three,
+                                                         &sixty_four};
+    std::size_t next = 0;
     while (!serial.all_informed() && serial.steps_taken() < cfg.max_steps) {
-        mixed.set_executor(pooled ? &pool.executor() : nullptr);
-        pooled = !pooled;
+        mixed.set_executor(cycle[next]);
+        next = (next + 1) % std::size(cycle);
         const std::size_t a = serial.step();
         const std::size_t b = mixed.step();
         ASSERT_EQ(a, b) << "step " << serial.steps_taken();
     }
-    const auto ra = serial.run();
-    const auto rb = mixed.run();
+    const auto ra = serial.run_spread().messages[0];
+    const auto rb = mixed.run_spread().messages[0];
     expect_same_result(ra, rb);
 }
 
@@ -373,10 +392,10 @@ TEST(flooding_test, moving_agents_bridge_static_gap) {
     // cross, demonstrating the "mobility as a resource" phenomenon.
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(kL);
     mobility::walker w(model, 60, 2.0, rng{8});
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.max_steps = 100'000;
     core::flooding_sim sim(std::move(w), 3.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_GT(result.flooding_time, 0u);
 }

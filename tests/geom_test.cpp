@@ -14,6 +14,7 @@
 #include "geom/uniform_grid.h"
 #include "geom/vec2.h"
 #include "rng/rng.h"
+#include "test_support.h"
 #include "util/parallel.h"
 
 namespace {
@@ -180,39 +181,47 @@ TEST(grid_spec_test, surrounding_counts) {
 }
 
 TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
-    // The per-lane histogram + scatter rebuild must reproduce the serial
+    // The per-lane histogram + scatter rebuild must produce the one-lane
     // counting sort exactly: same item order within every bucket, hence the
-    // same visitation order in every radius query, at any lane count.
+    // same visitation order in every radius query, at any lane count —
+    // including more lanes than points.
     manhattan::rng::rng gen(404);
     std::vector<vec2> pts(5000);
     for (auto& p : pts) {
         p = {gen.uniform(0.0, 50.0), gen.uniform(0.0, 50.0)};
     }
+    const std::vector<vec2> few = {{1, 1}, {9, 9}, {1.2, 1.1}, {5, 5}, {9.5, 9.5}};
     uniform_grid serial(50.0, 4.0);
     serial.rebuild(pts);
+    uniform_grid serial_few(10.0, 2.0);
+    serial_few.rebuild(few);
 
-    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
-        manhattan::engine::thread_pool pool(threads);
-        uniform_grid parallel(50.0, 4.0);
-        parallel.rebuild(pts, pool.executor());
-        SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto expect_same = [&](uniform_grid& parallel, uniform_grid& few_grid,
+                                 manhattan::util::parallel_executor& ex) {
+        parallel.rebuild(pts, ex);
         ASSERT_EQ(parallel.size(), serial.size());
         for (int probe = 0; probe < 50; ++probe) {
             const vec2 p{gen.uniform(0.0, 50.0), gen.uniform(0.0, 50.0)};
             EXPECT_EQ(parallel.query(p, 4.0), serial.query(p, 4.0));
         }
+        few_grid.rebuild(few, ex);
+        for (const auto& p : few) {
+            EXPECT_EQ(few_grid.query(p, 2.5), serial_few.query(p, 2.5));
+        }
+    };
+    for (const std::size_t lanes : {1u, 2u, 3u, 7u, 64u}) {
+        manhattan::test_support::inline_lanes ex(lanes);
+        uniform_grid parallel(50.0, 4.0);
+        uniform_grid few_grid(10.0, 2.0);
+        SCOPED_TRACE("inline lanes=" + std::to_string(lanes));
+        expect_same(parallel, few_grid, ex);
     }
-}
-
-TEST(uniform_grid_test, serial_executor_rebuild_matches_plain_rebuild) {
-    manhattan::util::serial_executor ex;
-    const std::vector<vec2> pts = {{1, 1}, {9, 9}, {1.2, 1.1}, {5, 5}, {9.5, 9.5}};
-    uniform_grid a(10.0, 2.0);
-    uniform_grid b(10.0, 2.0);
-    a.rebuild(pts);
-    b.rebuild(pts, ex);
-    for (const auto& p : pts) {
-        EXPECT_EQ(a.query(p, 2.5), b.query(p, 2.5));
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+        manhattan::engine::thread_pool pool(threads);
+        uniform_grid parallel(50.0, 4.0);
+        uniform_grid few_grid(10.0, 2.0);
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expect_same(parallel, few_grid, pool.executor());
     }
 }
 

@@ -51,10 +51,10 @@ TEST_P(golden_scenario_sweep, end_to_end_flooding_time_is_stable) {
     sc.seed = gc.seed;
     sc.max_steps = 50'000;
     const auto out = core::run_scenario(sc);
-    ASSERT_TRUE(out.flood.completed);
-    EXPECT_EQ(out.flood.flooding_time, gc.flood_time);
-    ASSERT_TRUE(out.flood.central_zone_informed_step.has_value());
-    EXPECT_EQ(*out.flood.central_zone_informed_step, gc.cz_time);
+    ASSERT_TRUE(out.spread.messages[0].completed);
+    EXPECT_EQ(out.spread.messages[0].flooding_time, gc.flood_time);
+    ASSERT_TRUE(out.spread.messages[0].central_zone_informed_step.has_value());
+    EXPECT_EQ(*out.spread.messages[0].central_zone_informed_step, gc.cz_time);
     EXPECT_EQ(out.source_agent, 0u);
 }
 

@@ -14,6 +14,7 @@
 #include "mobility/static_model.h"
 #include "mobility/walker.h"
 #include "stats/summary.h"
+#include "test_support.h"
 
 namespace {
 
@@ -36,9 +37,9 @@ TEST(integration_test, theorem10_central_zone_informed_within_18_l_over_r) {
         sc.seed = seed;
         sc.max_steps = 100'000;
         const auto out = core::run_scenario(sc);
-        ASSERT_TRUE(out.flood.completed);
-        ASSERT_TRUE(out.flood.central_zone_informed_step.has_value());
-        EXPECT_LE(static_cast<double>(*out.flood.central_zone_informed_step),
+        ASSERT_TRUE(out.spread.messages[0].completed);
+        ASSERT_TRUE(out.spread.messages[0].central_zone_informed_step.has_value());
+        EXPECT_LE(static_cast<double>(*out.spread.messages[0].central_zone_informed_step),
                   paper::central_zone_flood_bound(side, radius))
             << "seed " << seed;
     }
@@ -59,8 +60,8 @@ TEST(integration_test, corollary12_large_radius_floods_within_18_l_over_r) {
         sc.seed = seed;
         sc.max_steps = 10'000;
         const auto out = core::run_scenario(sc);
-        ASSERT_TRUE(out.flood.completed);
-        EXPECT_LE(static_cast<double>(out.flood.flooding_time),
+        ASSERT_TRUE(out.spread.messages[0].completed);
+        EXPECT_LE(static_cast<double>(out.spread.messages[0].flooding_time),
                   paper::central_zone_flood_bound(side, radius));
     }
 }
@@ -79,9 +80,9 @@ TEST(integration_test, theorem3_flooding_within_asymptotic_envelope) {
             sc.seed = 6;
             sc.max_steps = 200'000;
             const auto out = core::run_scenario(sc);
-            ASSERT_TRUE(out.flood.completed);
+            ASSERT_TRUE(out.spread.messages[0].completed);
             const double s_over_v = out.suburb_diameter / speed;
-            EXPECT_LE(static_cast<double>(out.flood.flooding_time),
+            EXPECT_LE(static_cast<double>(out.spread.messages[0].flooding_time),
                       paper::central_zone_flood_bound(side, radius) + 30.0 * s_over_v)
                 << "n=" << n << " c1=" << c1;
         }
@@ -148,11 +149,10 @@ TEST(integration_test, zero_speed_with_isolated_agent_never_completes) {
         s.leg = 1;
         w.set_agent(i, s);
     }
-    core::flood_config cfg;
-    cfg.source = 1;
+    auto cfg = manhattan::test_support::one_message(1);
     cfg.max_steps = 2000;
     core::flooding_sim sim(std::move(w), 5.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_FALSE(result.completed);
     EXPECT_EQ(result.informed_at[0], core::never_informed);
     EXPECT_EQ(result.informed_count, n - 1);
@@ -189,8 +189,7 @@ TEST(integration_test, lower_bound_distance_over_speed_gate) {
     }
     ASSERT_GT(best, radius);  // genuinely isolated at t = 0
 
-    core::flood_config cfg;
-    cfg.source = loner == 0 ? 1 : 0;
+    auto cfg = manhattan::test_support::one_message(loner == 0 ? 1 : 0);
     cfg.max_steps = static_cast<std::uint64_t>((best - radius) / (2.0 * speed)) + 5000;
     core::flooding_sim sim(std::move(w), radius, cfg);
     while (!sim.is_informed(loner) && sim.steps_taken() < cfg.max_steps) {
@@ -214,9 +213,9 @@ TEST(integration_test, one_hop_dominates_component_mode_across_models) {
         const auto hop = core::run_scenario(sc);
         sc.mode = core::propagation::per_component;
         const auto comp = core::run_scenario(sc);
-        ASSERT_TRUE(hop.flood.completed);
-        ASSERT_TRUE(comp.flood.completed);
-        EXPECT_LE(comp.flood.flooding_time, hop.flood.flooding_time);
+        ASSERT_TRUE(hop.spread.messages[0].completed);
+        ASSERT_TRUE(comp.spread.messages[0].completed);
+        EXPECT_LE(comp.spread.messages[0].flooding_time, hop.spread.messages[0].flooding_time);
     }
 }
 
@@ -261,8 +260,8 @@ TEST(integration_test, informed_fraction_grows_sigmoidally) {
     sc.record_timeline = true;
     sc.max_steps = 100'000;
     const auto out = core::run_scenario(sc);
-    ASSERT_TRUE(out.flood.completed);
-    const auto& tl = out.flood.timeline;
+    ASSERT_TRUE(out.spread.messages[0].completed);
+    const auto& tl = out.spread.messages[0].timeline;
     ASSERT_GE(tl.size(), 4u);
 
     auto first_reaching = [&](double frac) {

@@ -13,6 +13,7 @@
 #include "mobility/factory.h"
 #include "mobility/trace.h"
 #include "mobility/walker.h"
+#include "test_support.h"
 
 namespace {
 
@@ -20,19 +21,20 @@ namespace core = manhattan::core;
 namespace graph = manhattan::graph;
 namespace mobility = manhattan::mobility;
 using manhattan::rng::rng;
+using manhattan::test_support::one_message;
 
 constexpr double kSide = 70.0;
 constexpr std::size_t kAgents = 400;
 
-core::flood_result run_flood(mobility::model_kind kind, std::uint64_t seed, double radius,
-                             core::propagation mode, double speed = 1.0) {
+core::message_result run_flood(mobility::model_kind kind, std::uint64_t seed, double radius,
+                               core::propagation mode, double speed = 1.0) {
     const auto model = mobility::make_model(kind, kSide);
     mobility::walker w(model, kAgents, speed, rng{seed});
-    core::flood_config cfg;
-    cfg.mode = mode;
+    auto cfg = one_message();
+    cfg.spread.messages[0].mode = mode;
     cfg.max_steps = 30'000;
     core::flooding_sim sim(std::move(w), radius, cfg);
-    return sim.run();
+    return sim.run_spread().messages[0];
 }
 
 struct property_case {
@@ -75,7 +77,7 @@ TEST_P(coupling_sweep, temporal_oracle_agrees_for_every_model) {
     const double radius = 6.0;
     const auto model = mobility::make_model(kind, kSide);
 
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.max_steps = 30'000;
     core::flooding_sim sim(mobility::walker(model, kAgents, 1.0, rng{seed}), radius, cfg);
     mobility::trajectory_recorder rec(kAgents);
@@ -86,7 +88,7 @@ TEST_P(coupling_sweep, temporal_oracle_agrees_for_every_model) {
     }
     ASSERT_TRUE(sim.all_informed());
 
-    const auto oracle = graph::temporal_flood(rec, radius, kSide, cfg.source);
+    const auto oracle = graph::temporal_flood(rec, radius, kSide, 0);
     const auto reference = run_flood(kind, seed, radius, core::propagation::one_hop);
     for (std::size_t i = 0; i < kAgents; ++i) {
         ASSERT_EQ(reference.informed_at[i], oracle.reached_at[i]) << "agent " << i;
@@ -112,7 +114,7 @@ TEST_P(coupling_sweep, every_informing_step_has_a_witness_in_range) {
     const double radius = 6.0;
     const auto model = mobility::make_model(kind, kSide);
 
-    core::flood_config cfg;
+    auto cfg = one_message();
     cfg.max_steps = 30'000;
     core::flooding_sim sim(mobility::walker(model, kAgents, 1.0, rng{seed}), radius, cfg);
     mobility::trajectory_recorder rec(kAgents);

@@ -312,15 +312,15 @@ TEST(spread_test, central_zone_stop_halts_at_cz_informed_step) {
     sc.seed = 5;
     sc.max_steps = 50'000;
     const auto full = core::run_scenario(sc);
-    ASSERT_TRUE(full.flood.completed);
-    ASSERT_TRUE(full.flood.central_zone_informed_step.has_value());
+    ASSERT_TRUE(full.spread.messages[0].completed);
+    ASSERT_TRUE(full.spread.messages[0].central_zone_informed_step.has_value());
 
     sc.spread.stop = core::stop_rule::central_zone();
     const auto early = core::run_scenario(sc);
     EXPECT_TRUE(early.spread.completed);
-    EXPECT_EQ(early.spread.steps, *full.flood.central_zone_informed_step);
+    EXPECT_EQ(early.spread.steps, *full.spread.messages[0].central_zone_informed_step);
     EXPECT_EQ(early.spread.messages[0].stop_satisfied_step,
-              full.flood.central_zone_informed_step);
+              full.spread.messages[0].central_zone_informed_step);
 }
 
 // ------------------------------------------------ scenario-level contracts ---
@@ -345,21 +345,11 @@ TEST(spread_scenario_test, explicit_single_message_spread_equals_legacy_fields) 
     explicit_sc.spread.messages = {msg};
     const auto spread = core::run_scenario(explicit_sc);
 
-    EXPECT_EQ(legacy.flood.flooding_time, spread.flood.flooding_time);
-    EXPECT_EQ(legacy.flood.informed_at, spread.flood.informed_at);
+    ASSERT_EQ(legacy.spread.messages.size(), 1u);
+    EXPECT_EQ(legacy.spread.messages[0].flooding_time,
+              spread.spread.messages[0].flooding_time);
+    EXPECT_EQ(legacy.spread.messages[0].informed_at, spread.spread.messages[0].informed_at);
     EXPECT_EQ(legacy.source_agent, spread.source_agent);
-}
-
-TEST(spread_scenario_test, outcome_flood_is_message_zero_view) {
-    auto sc = small_scenario();
-    sc.record_timeline = true;
-    const auto out = core::run_scenario(sc);
-    ASSERT_EQ(out.spread.messages.size(), 1u);
-    EXPECT_EQ(out.flood.flooding_time, out.spread.messages[0].flooding_time);
-    EXPECT_EQ(out.flood.informed_at, out.spread.messages[0].informed_at);
-    EXPECT_EQ(out.flood.timeline, out.spread.messages[0].timeline);
-    EXPECT_EQ(out.flood.central_zone_informed_step,
-              out.spread.messages[0].central_zone_informed_step);
 }
 
 TEST(spread_scenario_test, gossip_streams_differ_per_message) {

@@ -14,6 +14,7 @@
 #include "mobility/trace.h"
 #include "mobility/walker.h"
 #include "stats/bootstrap.h"
+#include "test_support.h"
 
 namespace {
 
@@ -171,7 +172,8 @@ TEST(temporal_test, oracle_matches_flooding_sim_exactly) {
     const std::size_t n = 250;
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(side);
 
-    core::flood_config cfg;
+    const std::size_t source = 0;
+    auto cfg = manhattan::test_support::one_message(source);
     cfg.max_steps = 4000;
     core::flooding_sim sim(mobility::walker(model, n, 1.0, rng{91}), radius, cfg);
     mobility::trajectory_recorder rec(n);
@@ -182,13 +184,12 @@ TEST(temporal_test, oracle_matches_flooding_sim_exactly) {
     }
     ASSERT_TRUE(sim.all_informed());
 
-    const auto oracle = graph::temporal_flood(rec, radius, side, cfg.source);
+    const auto oracle = graph::temporal_flood(rec, radius, side, source);
     ASSERT_TRUE(oracle.all_reached);
 
     // Compare against the sim's per-agent informing steps.
-    core::flood_config cfg2 = cfg;
-    core::flooding_sim sim2(mobility::walker(model, n, 1.0, rng{91}), radius, cfg2);
-    const auto result = sim2.run();
+    core::flooding_sim sim2(mobility::walker(model, n, 1.0, rng{91}), radius, cfg);
+    const auto result = sim2.run_spread().messages[0];
     ASSERT_EQ(result.informed_at.size(), oracle.reached_at.size());
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(result.informed_at[i], oracle.reached_at[i]) << "agent " << i;
