@@ -3,10 +3,14 @@
 // Golden fixtures under tests/fixtures/ were captured from the pre-refactor
 // (array-of-structs) simulation and are checked in; the current build must
 // reproduce them byte-for-byte. Every mobility model (mrwp, rwp, random_walk,
-// random_direction, static) is crossed with every propagation mode (one_hop,
-// gossip, per_component) and each combination is evaluated at 1/2/8 replica
-// threads and 1/2/8 intra_threads — all nine parallelism shapes must emit the
-// exact bytes the serial pre-refactor run produced. A separate kinematics
+// random_direction, static, plus the graph-native MRWP on a street plan and
+// trace replay over a fixed tour) is crossed with every propagation mode
+// (one_hop, gossip, per_component) and each combination is evaluated at
+// 1/2/8 replica threads and 1/2/8 intra_threads — all nine parallelism
+// shapes must emit the exact bytes the serial pre-refactor run produced.
+// The graph_mrwp and trace fixtures were captured later, from the engine
+// that kept agent storage in id order, so they pin those two models against
+// storage-order changes too. A separate kinematics
 // fixture pins the walker advance bitwise (position/waypoint/destination bit
 // patterns hashed per agent), so a layout or instruction-selection change
 // that perturbs even one IEEE result is caught here, not in a downstream
@@ -25,11 +29,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scenario.h"
+#include "geom/street_graph.h"
 #include "core/spread.h"
 #include "engine/runner.h"
 #include "engine/thread_pool.h"
@@ -174,7 +180,13 @@ const mobility::model_kind kModels[] = {
 struct combo {
     mobility::model_kind model;
     core::propagation mode;
+    bool streets = false;  ///< mrwp on an explicit street plan (graph_mrwp)
 };
+
+/// The fixture / test-label name of a combo's model.
+std::string model_name(const combo& c) {
+    return c.streets ? "graph_mrwp" : mobility::model_kind_name(c.model);
+}
 
 const char* mode_name(core::propagation mode) {
     switch (mode) {
@@ -195,7 +207,20 @@ core::scenario combo_scenario(const combo& c) {
         n, 3.0 * std::sqrt(std::log(static_cast<double>(n))), 1.0);
     sc.model = c.model;
     sc.seed = 0x50a0 + static_cast<std::uint64_t>(c.model) * 16 +
-              static_cast<std::uint64_t>(c.mode);
+              static_cast<std::uint64_t>(c.mode) + (c.streets ? 0x100 : 0);
+    if (c.streets) {
+        // Graded blocks with one blocked segment and one one-way street, so
+        // routing, blocked edges and one-way edges all shape the trips.
+        auto plan = manhattan::geom::street_graph_spec::graded(sc.params.side, 4, 1.3);
+        plan.blocked.push_back({1, 2, 2, 2});
+        plan.one_way.push_back({0, 1, 1, 1});
+        sc.topology = manhattan::geom::topology_spec::streets(std::move(plan));
+    }
+    if (c.model == mobility::model_kind::trace_replay) {
+        sc.model_opts.trace = std::make_shared<const std::vector<manhattan::geom::vec2>>(
+            std::vector<manhattan::geom::vec2>{
+                {2.0, 2.0}, {20.0, 2.0}, {20.0, 20.0}, {11.0, 11.0}, {2.0, 20.0}});
+    }
     sc.record_timeline = true;
     sc.with_cell_partition = true;
     sc.max_steps = 3000;
@@ -224,7 +249,7 @@ std::string canonical_text(const combo& c, std::size_t replica_threads,
     sc.intra_threads = intra_threads;
     std::ostringstream out;
     out << "soa differential fixture v1\n";
-    out << "combo " << mobility::model_kind_name(c.model) << ' ' << mode_name(c.mode)
+    out << "combo " << model_name(c) << ' ' << mode_name(c.mode)
         << " n " << sc.params.n << " seed " << sc.seed << '\n';
     out << "direct\n" << serialize_spread(core::run_scenario(sc).spread);
     const auto replicas = engine::run_replicas(sc, 2, {.threads = replica_threads});
@@ -235,8 +260,7 @@ std::string canonical_text(const combo& c, std::size_t replica_threads,
 }
 
 std::string combo_fixture_name(const combo& c) {
-    return std::string("soa_") + mobility::model_kind_name(c.model) + "_" +
-           mode_name(c.mode) + ".txt";
+    return "soa_" + model_name(c) + "_" + mode_name(c.mode) + ".txt";
 }
 
 // -------------------------------------------------------------------- tests ---
@@ -262,18 +286,21 @@ TEST_P(soa_differential, matches_pre_refactor_fixture_at_every_thread_count) {
 }
 
 std::string combo_label(const ::testing::TestParamInfo<combo>& info) {
-    return mobility::model_kind_name(info.param.model) + std::string("_") +
-           mode_name(info.param.mode);
+    return model_name(info.param) + "_" + mode_name(info.param.mode);
 }
 
 std::vector<combo> all_combos() {
     std::vector<combo> out;
+    const core::propagation modes[] = {core::propagation::one_hop, core::propagation::gossip,
+                                       core::propagation::per_component};
     for (const mobility::model_kind model : kModels) {
-        for (const core::propagation mode :
-             {core::propagation::one_hop, core::propagation::gossip,
-              core::propagation::per_component}) {
+        for (const core::propagation mode : modes) {
             out.push_back({model, mode});
         }
+    }
+    for (const core::propagation mode : modes) {
+        out.push_back({mobility::model_kind::mrwp, mode, /*streets=*/true});
+        out.push_back({mobility::model_kind::trace_replay, mode});
     }
     return out;
 }
