@@ -212,19 +212,21 @@ void daemon::stop() {
         listener_ = -1;
         ::unlink(config_.socket_path.c_str());
     }
-    std::vector<std::pair<int, std::thread>> connections;
+    std::list<connection> connections;
     {
         std::lock_guard lock(connections_mutex_);
         connections.swap(connections_);
-    }
-    for (auto& [fd, thread] : connections) {
-        ::shutdown(fd, SHUT_RDWR);
-    }
-    for (auto& [fd, thread] : connections) {
-        if (thread.joinable()) {
-            thread.join();
+        for (const connection& c : connections) {
+            if (!c.done) {
+                ::shutdown(c.fd, SHUT_RDWR);  // wakes the thread's blocking recv()
+            }
         }
-        ::close(fd);
+    }
+    for (connection& c : connections) {
+        if (c.thread.joinable()) {
+            c.thread.join();
+        }
+        ::close(c.fd);
     }
     stopped_cv_.notify_all();
 }
@@ -238,12 +240,32 @@ void daemon::accept_loop() {
             }
             break;  // listener shut down (or broken): stop accepting
         }
-        std::lock_guard lock(connections_mutex_);
-        if (stopping_.load(std::memory_order_relaxed)) {
-            ::close(fd);
-            break;
+        std::list<connection> finished;
+        {
+            std::lock_guard lock(connections_mutex_);
+            if (stopping_.load(std::memory_order_relaxed)) {
+                ::close(fd);
+                break;
+            }
+            for (auto it = connections_.begin(); it != connections_.end();) {
+                const auto next = std::next(it);
+                if (it->done) {
+                    finished.splice(finished.end(), connections_, it);
+                }
+                it = next;
+            }
+            connection& c = connections_.emplace_back();
+            c.fd = fd;
+            c.thread = std::thread([this, fd, &c] {
+                handle_connection(fd);
+                std::lock_guard done_lock(connections_mutex_);
+                c.done = true;
+            });
         }
-        connections_.emplace_back(fd, std::thread([this, fd] { handle_connection(fd); }));
+        for (connection& c : finished) {
+            c.thread.join();  // the thread has returned or is about to
+            ::close(c.fd);
+        }
     }
     stopping_.store(true, std::memory_order_relaxed);
 }

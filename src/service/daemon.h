@@ -24,6 +24,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,8 +118,19 @@ class daemon {
     std::atomic<bool> stopping_{false};
     std::thread accept_thread_;
 
+    /// One accepted connection. Its thread sets `done` as its last act;
+    /// accept_loop joins and closes done entries before it adds a new one,
+    /// and stop() shuts down the live ones and closes the rest, so a
+    /// long-lived daemon holds only its live connections' fds and every fd
+    /// is closed exactly once.
+    struct connection {
+        int fd = -1;
+        std::thread thread;
+        bool done = false;  ///< guarded by connections_mutex_
+    };
+
     std::mutex connections_mutex_;
-    std::vector<std::pair<int, std::thread>> connections_;
+    std::list<connection> connections_;  ///< list: threads hold their entry
 
     /// Fingerprint-keyed registry of live (queued or running) jobs — the
     /// status / cancel surface and the duplicate-submission rendezvous.

@@ -4,8 +4,8 @@
 // slots, cancellation), and the daemon end-to-end over a real AF_UNIX socket:
 // byte-identical streamed rows vs a direct run_sweep, the cache-hit replay
 // with zero fresh pool tasks, the in-flight dedup rendezvous, busy shedding,
-// queued-job cancellation, and crash-ledger resume. The wire format itself
-// is covered by wire_test.
+// queued-job cancellation, crash-ledger resume, and the reaping of finished
+// connections. The wire format itself is covered by wire_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -463,6 +463,35 @@ TEST(service_test, daemon_resumes_a_crash_ledger_at_the_replica_boundary) {
     service::submit_outcome again;
     EXPECT_EQ(submit_csv(config.socket_path, spec, again), reference_csv());
     EXPECT_TRUE(again.cached);
+    d.stop();
+}
+
+/// File descriptors this process holds open right now.
+std::size_t open_fds() {
+    std::size_t count = 0;
+    for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+        (void)entry;
+        ++count;
+    }
+    return count;
+}
+
+TEST(service_test, daemon_reaps_finished_connections) {
+    scratch_dir dir("reap");
+    service::daemon d(daemon_config_for(dir));
+    d.start();
+    {
+        service::client warm(d.config().socket_path);
+        (void)warm.ping();
+    }
+    const std::size_t before = open_fds();
+    for (int i = 0; i < 500; ++i) {
+        service::client c(d.config().socket_path);
+        EXPECT_TRUE(service::bool_field(c.ping(), "ok")) << "ping " << i;
+    }
+    // Each accept reaps the connections that have ended; the last one or
+    // two may still be in flight.
+    EXPECT_LE(open_fds(), before + 4) << "the daemon leaks a descriptor per connection";
     d.stop();
 }
 
