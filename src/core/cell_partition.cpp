@@ -58,10 +58,11 @@ cell_partition::cell_partition(std::size_t n, double side, double radius,
 }
 
 bool cell_partition::any_in_zone(std::span<const geom::vec2> positions,
+                                 std::span<const std::uint32_t> slots,
                                  std::span<const std::uint32_t> ids, zone z) const {
     const std::uint8_t want = z == zone::central ? 1 : 0;
     for (const std::uint32_t id : ids) {
-        if (in_central_[grid_.cell_id_of(positions[id])] == want) {
+        if (in_central_[grid_.cell_id_of(positions[slots[id]])] == want) {
             return true;
         }
     }

@@ -50,12 +50,14 @@ class cell_partition {
         return zone_of_cell(grid_.cell_id_of(p));
     }
 
-    /// Span kernel for the per-step zone metrics: whether any of
-    /// positions[ids[k]] lies in a \p z cell. Equivalent to calling
-    /// zone_of_point per id but without the per-call bounds checks — the
-    /// O(#uninformed)-per-step Central-Zone scan runs through this
-    /// (core/flooding.cpp).
+    /// Span kernel for the per-step zone metrics: whether any agent of
+    /// \p ids lies in a \p z cell, where agent id sits at
+    /// positions[slots[id]] (a walker's storage order and id -> slot map).
+    /// Equivalent to calling zone_of_point per id but without the per-call
+    /// bounds checks — the O(#uninformed)-per-step Central-Zone scan runs
+    /// through this (core/flooding.cpp).
     [[nodiscard]] bool any_in_zone(std::span<const geom::vec2> positions,
+                                   std::span<const std::uint32_t> slots,
                                    std::span<const std::uint32_t> ids, zone z) const;
 
     [[nodiscard]] std::size_t central_cell_count() const noexcept { return central_count_; }

@@ -69,7 +69,7 @@ void flooding_sim::set_executor(util::parallel_executor* exec) noexcept {
 /// set and Central-Zone metric start tracking from here.
 void flooding_sim::spawn(message_state& msg) {
     const std::size_t n = walker_.size();
-    msg.sources = resolve_sources(msg.spec.sources, walker_.positions(),
+    msg.sources = resolve_sources(msg.spec.sources, walker_.positions(), walker_.ids(),
                                   walker_.model().side(), msg.spec.source_seed);
     msg.touched.assign_zero(n);
     msg.committed.assign_zero(n);
@@ -111,8 +111,9 @@ bool flooding_sim::prepare_skip_tables(const message_state& msg, std::size_t sca
         return false;
     }
     bucket_counts_.assign(buckets, 0);
+    const auto slots = walker_.slots();
     for (const std::uint32_t a : msg.uninformed) {
-        ++bucket_counts_[grid_.bucket_of_item(a)];
+        ++bucket_counts_[grid_.bucket_of_item(slots[a])];
     }
     if (!uninformed) {
         for (std::size_t b = 0; b < buckets; ++b) {
@@ -160,16 +161,21 @@ void flooding_sim::sum_bucket_neighborhoods() {
     }
 }
 
-/// Neighbourhood scan over informed-list slots [0, informed_before) whose
-/// transmit flag is set (null = every slot transmits), appending the newly
-/// informed to newly_ in the one-lane discovery order: ascending slot k,
-/// grid scan order within a slot, first discovery wins. Lanes are ascending
-/// contiguous k-ranges; each lane dedups against its own copy of
-/// msg.touched, so it keeps only its first sighting of an agent, and the
-/// lane-order merge keeps the globally first one.
+/// Neighbourhood scan over informed-list entries [0, informed_before) whose
+/// transmit flag is set (null = every entry transmits), appending the newly
+/// informed to newly_ in the one-lane discovery order: ascending entry k,
+/// the covering buckets in row-major order within an entry, ascending id
+/// within a bucket, first discovery wins. A bucket holds its agents in
+/// storage order, so each (transmitter, bucket) run of discoveries is
+/// sorted by id; the run is the same set in any storage order (the agents
+/// in range and not yet touched), so the order is storage-independent.
+/// Lanes are ascending contiguous k-ranges; each lane dedups against its
+/// own copy of msg.touched, so it keeps only its first sighting of an
+/// agent, and the lane-order merge keeps the globally first one.
 void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_before,
                                      const std::uint8_t* transmit) {
     const auto positions = walker_.positions();
+    const auto slots = walker_.slots();
     const auto items = grid_.items();
     const auto sorted = grid_.sorted_points();
     const double r2 = radius_ * radius_;
@@ -202,20 +208,25 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
             if (transmit != nullptr && transmit[k] == 0) {
                 continue;
             }
-            const std::uint32_t b = msg.informed_list[k];
-            const geom::vec2 p = positions[b];
-            if (use_skip && nb_counts_[grid_.bucket_of_item(b)] == 0) {
+            const std::uint32_t slot = slots[msg.informed_list[k]];
+            const geom::vec2 p = positions[slot];
+            if (use_skip && nb_counts_[grid_.bucket_of_item(slot)] == 0) {
                 continue;
             }
             grid_.visit_covering_buckets(
                 p, radius_, [&](std::size_t bucket, std::size_t bkt_begin, std::size_t bkt_end) {
-                    if (!use_skip || bucket_counts_[bucket] != 0) {
-                        for (std::size_t s = bkt_begin; s < bkt_end; ++s) {
-                            if (geom::dist2(sorted[s], p) <= r2 && !touched.test(items[s])) {
-                                touched.set(items[s]);  // don't re-add this step
-                                out.push_back(items[s]);
-                            }
+                    if (use_skip && bucket_counts_[bucket] == 0) {
+                        return false;
+                    }
+                    const std::size_t run = out.size();
+                    for (std::size_t s = bkt_begin; s < bkt_end; ++s) {
+                        if (geom::dist2(sorted[s], p) <= r2 && !touched.test(items[s])) {
+                            touched.set(items[s]);  // don't re-add this step
+                            out.push_back(items[s]);
                         }
+                    }
+                    if (out.size() - run > 1) {
+                        std::sort(out.begin() + static_cast<std::ptrdiff_t>(run), out.end());
                     }
                     return false;
                 });
@@ -238,9 +249,12 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
 /// fully-informed 64-agent words with a single compare. Each agent is
 /// appended by its own iteration only, so lane buffers concatenate to the
 /// ascending-id order with no dedup needed. An agent found here cannot
-/// inform others this step: probes test `committed`, never `touched`.
+/// inform others this step: probes test `committed`, never `touched`. A
+/// probe's hit/no-hit outcome does not depend on the order it visits a
+/// bucket's agents in, so the storage order cannot show here.
 void flooding_sim::scan_uninformed(message_state& msg) {
     const auto positions = walker_.positions();
+    const auto slots = walker_.slots();
     const std::size_t n = walker_.size();
     const auto items = grid_.items();
     const auto sorted = grid_.sorted_points();
@@ -255,8 +269,9 @@ void flooding_sim::scan_uninformed(message_state& msg) {
     // Probe order is the grid scan order (first hit stops early); only the
     // hit/no-hit outcome matters, and skips never change it.
     const auto probe = [&](std::size_t a) -> bool {
-        const geom::vec2 p = positions[a];
-        if (use_skip && nb_counts_[grid_.bucket_of_item(a)] == 0) {
+        const std::uint32_t slot = slots[a];
+        const geom::vec2 p = positions[slot];
+        if (use_skip && nb_counts_[grid_.bucket_of_item(slot)] == 0) {
             return false;
         }
         return grid_.visit_covering_buckets(
@@ -308,14 +323,15 @@ void flooding_sim::propagate_one_hop(message_state& msg) {
 
 /// Build the step's proximity components once; every per_component message
 /// of this step shares them (connectivity does not depend on which message
-/// asks). The neighbourhood scans fan over lanes, each uniting its edges in
-/// a lane-private union-find; dsu_ then joins every agent to its root in
-/// each lane's forest. Connectivity (and hence each message's newly set) is
-/// independent of the unite order, so results are the same at any lane
-/// count.
+/// asks). The neighbourhood scans fan over lanes of storage slots, each
+/// uniting its edges (by agent id) in a lane-private union-find; dsu_ then
+/// joins every agent to its root in each lane's forest. Connectivity (and
+/// hence each message's newly set) is independent of the unite order, so
+/// results are the same at any lane count and storage order.
 void flooding_sim::build_components() {
     const util::phase_timer timing(profile_, util::phase::components);
     const auto positions = walker_.positions();
+    const auto ids = walker_.ids();
     const std::size_t n = walker_.size();
     dsu_.reset(n);
 
@@ -325,7 +341,7 @@ void flooding_sim::build_components() {
         graph::union_find& dsu = lane_dsu_[lane];
         dsu.reset(n);
         for (std::size_t i = begin; i < end; ++i) {
-            const auto a = static_cast<std::uint32_t>(i);
+            const std::uint32_t a = ids[i];
             grid_.for_each_in_radius(positions[i], radius_, [&](std::uint32_t j) {
                 if (j > a) {
                     dsu.unite(a, j);
@@ -346,6 +362,19 @@ void flooding_sim::build_components() {
         }
     }
     dsu_ready_ = true;
+}
+
+/// Atom sorting, as in molecular-dynamics cell lists: make the grid's bucket
+/// order the walker's storage order. The grid holds every position in that
+/// order already (rebuilt this step, and nothing has moved since), so its
+/// buffer becomes the walker's position array; the displaced one serves as
+/// the walker's gather scratch and comes back to the grid, whose next
+/// rebuild overwrites it. No n-sized buffer is allocated.
+void flooding_sim::resort_agents() {
+    std::vector<geom::vec2> positions;
+    grid_.swap_sorted_points(positions);
+    walker_.reorder(grid_.items(), positions);
+    grid_.swap_sorted_points(positions);
 }
 
 void flooding_sim::propagate_per_component(message_state& msg) {
@@ -395,7 +424,6 @@ void flooding_sim::propagate(message_state& msg) {
 }
 
 void flooding_sim::commit(message_state& msg) {
-    const auto positions = walker_.positions();
     for (const std::uint32_t a : newly_) {
         msg.committed.set(a);  // touched was set at discovery
         msg.informed_at[a] = static_cast<std::uint32_t>(step_count_);
@@ -407,7 +435,7 @@ void flooding_sim::commit(message_state& msg) {
         msg.uninformed[slot] = last;
         msg.uninformed_slot[last] = slot;
         msg.uninformed.pop_back();
-        if (cells_ != nullptr && cells_->zone_of_point(positions[a]) == zone::suburb) {
+        if (cells_ != nullptr && cells_->zone_of_point(walker_.position(a)) == zone::suburb) {
             msg.last_suburb_informed_step = step_count_;
         }
     }
@@ -423,7 +451,8 @@ void flooding_sim::update_zone_metrics(message_state& msg) {
     }
     // Only still-uninformed agents can block the Central Zone, so the scan
     // shrinks with the flood instead of rescanning all n agents every step.
-    if (!cells_->any_in_zone(walker_.positions(), msg.uninformed, zone::central)) {
+    if (!cells_->any_in_zone(walker_.positions(), walker_.slots(), msg.uninformed,
+                             zone::central)) {
         msg.cz_informed_step = step_count_;
     }
 }
@@ -487,7 +516,7 @@ std::size_t flooding_sim::step() {
     }
     {
         const util::phase_timer timing(profile_, util::phase::grid_rebuild);
-        grid_.rebuild(walker_.positions(), *exec_);
+        grid_.rebuild(walker_.positions(), walker_.ids(), *exec_);
     }
     dsu_ready_ = false;
 
@@ -532,6 +561,10 @@ std::size_t flooding_sim::step() {
             profile_.seconds[static_cast<std::size_t>(util::phase::components)] -
             components_before;
         profile_.add(util::phase::scan, loop_seconds - components_delta);
+    }
+    if ((step_count_ - 1) % resort_period == 0) {
+        const util::phase_timer timing(profile_, util::phase::grid_rebuild);
+        resort_agents();
     }
     refresh_stop_satisfaction();
     return total_newly;

@@ -44,8 +44,19 @@ namespace manhattan::core {
 /// randomness (gossip coins, random-k source draws) comes from each
 /// message's own seeds, so messages never perturb each other's streams
 /// (docs/WORKLOADS.md).
+///
+/// Every resort_period steps the walker's storage is re-sorted into the
+/// grid's bucket order, so the next steps' advance, rebuild and scans read
+/// memory nearly sequentially. All message state is keyed by agent id and
+/// every id-ordered sequence is reproduced exactly, so the storage order
+/// never shows in any output (docs/PERF.md, "Spatially coherent storage").
 class flooding_sim {
  public:
+    /// Steps between storage re-sorts; the first runs at the end of step 1.
+    /// Agents move about a tenth of a grid bucket per step at the paper's
+    /// speed bound, so the order stays nearly sorted for many steps.
+    static constexpr std::uint64_t resort_period = 8;
+
     /// Throws if the spread has no messages, a source spec is unsatisfiable,
     /// radius is not positive, a gossip-mode message has gossip_p outside
     /// (0, 1], or the stop rule is invalid.
@@ -80,13 +91,15 @@ class flooding_sim {
         return messages_.at(m).informed_count;
     }
     [[nodiscard]] std::uint64_t steps_taken() const noexcept { return step_count_; }
-    /// Whether agent \p i holds message 0 / message \p m.
+    /// Whether agent id \p i holds message 0 / message \p m.
     [[nodiscard]] bool is_informed(std::size_t i) const {
         return messages_.front().spawned && messages_.front().touched.test(i);
     }
     [[nodiscard]] bool is_informed(std::size_t m, std::size_t i) const {
         return messages_.at(m).spawned && messages_.at(m).touched.test(i);
     }
+    /// The simulation's walker. Its storage is re-sorted every
+    /// resort_period steps, so read positions by id (walker::position).
     [[nodiscard]] const mobility::walker& agents() const noexcept { return walker_; }
     [[nodiscard]] double radius() const noexcept { return radius_; }
 
@@ -99,7 +112,8 @@ class flooding_sim {
  private:
     /// Per-message spread state. The informed bitmaps, informing order and
     /// uninformed-set bookkeeping are exactly the single-message engine's,
-    /// one copy per message; the grid/positions they scan are shared.
+    /// one copy per message; the grid/positions they scan are shared. All of
+    /// it is indexed by agent id, never by storage slot.
     ///
     /// The informed state is two packed bitsets (util/bitset.h) instead of
     /// the old one-byte-per-agent 0/1/2 array: `touched` holds state != 0
@@ -152,6 +166,8 @@ class flooding_sim {
     void commit(message_state& msg);
     void update_zone_metrics(message_state& msg);
     void build_components();
+    /// Re-sort the walker's storage into the grid's bucket order.
+    void resort_agents();
     void refresh_stop_satisfaction();
     [[nodiscard]] bool stop_satisfied(const message_state& msg) const;
     [[nodiscard]] bool all_stopped() const noexcept;

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "rng/rng.h"
 
@@ -82,8 +83,12 @@ geom::vec2 placement_target(source_placement placement, double side) {
 
 std::vector<std::uint32_t> resolve_sources(const source_spec& spec,
                                            std::span<const geom::vec2> positions,
-                                           double side, std::uint64_t source_seed) {
+                                           std::span<const std::uint32_t> ids, double side,
+                                           std::uint64_t source_seed) {
     const std::size_t n = positions.size();
+    if (ids.size() != n) {
+        throw std::invalid_argument("resolve_sources: ids and positions differ in size");
+    }
     spec.validate(n);
     std::vector<std::uint32_t> out;
 
@@ -96,27 +101,30 @@ std::vector<std::uint32_t> resolve_sources(const source_spec& spec,
                 std::iota(out.begin(), out.end(), 0u);
                 return out;
             }
+            // Candidates are keyed by (distance, id) and read in storage
+            // order; ids are distinct, so the keys are too and the result
+            // does not depend on that order.
             const geom::vec2 target = placement_target(spec.placement, side);
             if (spec.count == 1) {
                 // The hot path (every placement-sourced replica spawn):
                 // a plain O(n) argmin, ties to the lower id.
-                std::uint32_t best = 0;
-                double best_d = geom::dist2(positions[0], target);
-                for (std::uint32_t i = 1; i < n; ++i) {
-                    const double d = geom::dist2(positions[i], target);
-                    if (d < best_d) {
-                        best_d = d;
-                        best = i;
+                std::pair<double, std::uint32_t> best{geom::dist2(positions[0], target),
+                                                      ids[0]};
+                for (std::size_t k = 1; k < n; ++k) {
+                    const std::pair<double, std::uint32_t> key{
+                        geom::dist2(positions[k], target), ids[k]};
+                    if (key < best) {
+                        best = key;
                     }
                 }
-                out.push_back(best);
+                out.push_back(best.second);
                 break;
             }
             // count > 1: select the count nearest by (distance, id) without
             // sorting all n — distances are computed once, not per compare.
             std::vector<std::pair<double, std::uint32_t>> keyed(n);
-            for (std::uint32_t i = 0; i < n; ++i) {
-                keyed[i] = {geom::dist2(positions[i], target), i};
+            for (std::size_t k = 0; k < n; ++k) {
+                keyed[k] = {geom::dist2(positions[k], target), ids[k]};
             }
             const auto mid = keyed.begin() + static_cast<std::ptrdiff_t>(spec.count);
             std::nth_element(keyed.begin(), mid - 1, keyed.end());

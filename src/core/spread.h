@@ -70,12 +70,15 @@ struct source_spec {
 };
 
 /// Resolve a source spec into the concrete informed set, in ascending agent
-/// id order. Deterministic: a pure function of (spec, positions, side,
-/// source_seed). Placement rules break distance ties towards the lower id;
-/// random_k draws a uniform k-subset via a partial Fisher-Yates shuffle
-/// seeded with source_seed.
+/// id order. \p positions may be in any storage order: positions[k] is agent
+/// \p ids[k]'s position. Deterministic: a pure function of (spec, each
+/// agent's position, side, source_seed), whatever the storage order.
+/// Placement rules break distance ties towards the lower id; random_k draws
+/// a uniform k-subset via a partial Fisher-Yates shuffle seeded with
+/// source_seed.
 [[nodiscard]] std::vector<std::uint32_t> resolve_sources(const source_spec& spec,
                                                          std::span<const geom::vec2> positions,
+                                                         std::span<const std::uint32_t> ids,
                                                          double side,
                                                          std::uint64_t source_seed);
 

@@ -25,7 +25,9 @@ void uniform_grid::rebuild(std::span<const vec2> positions) {
     rebuild(positions, one_lane);
 }
 
-void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_executor& ex) {
+template <typename IdOf>
+void uniform_grid::rebuild_with(std::span<const vec2> positions, IdOf id_of,
+                                util::parallel_executor& ex) {
     const std::size_t lanes = ex.lanes();
     const std::size_t n = positions.size();
     const std::size_t bucket_count =
@@ -48,7 +50,7 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
 
     // Prefix sum: CSR offsets plus a starting write cursor per
     // (bucket, lane). Within a bucket, lane slots are laid out in lane
-    // order, so items end up in ascending index order at any lane count.
+    // order, so items end up in input order at any lane count.
     offsets_.resize(bucket_count + 1);
     offsets_[0] = 0;
     for (std::size_t b = 0; b < bucket_count; ++b) {
@@ -68,10 +70,22 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
         std::size_t* cursor = lane_hist_.data() + lane * bucket_count;
         for (std::size_t i = begin; i < end; ++i) {
             const std::size_t slot = cursor[bucket_of_[i]]++;
-            items_[slot] = static_cast<std::uint32_t>(i);
+            items_[slot] = id_of(i);
             sorted_points_[slot] = positions[i];
         }
     });
+}
+
+void uniform_grid::rebuild(std::span<const vec2> positions,
+                           std::span<const std::uint32_t> ids, util::parallel_executor& ex) {
+    if (ids.size() != positions.size()) {
+        throw std::invalid_argument("uniform_grid::rebuild: ids and positions differ in size");
+    }
+    rebuild_with(positions, [ids](std::size_t i) { return ids[i]; }, ex);
+}
+
+void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_executor& ex) {
+    rebuild_with(positions, [](std::size_t i) { return static_cast<std::uint32_t>(i); }, ex);
 }
 
 std::vector<std::uint32_t> uniform_grid::query(vec2 p, double r) const {

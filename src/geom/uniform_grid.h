@@ -5,7 +5,8 @@
 /// bucket rectangle. With bucket side ~= R this is the
 /// classic O(1 + local density) disk-graph query. Positions are stored
 /// bucket-sorted, so a radius query walks contiguous memory instead of
-/// indirecting through the item ids.
+/// indirecting through the item ids. That bucket order is also the spatial
+/// order a caller may re-sort its own storage into (swap_sorted_points).
 #pragma once
 
 #include <cstdint>
@@ -27,22 +28,32 @@ class uniform_grid {
 
     /// Re-bin all positions with a counting sort over \p ex's lanes:
     /// per-lane histograms merged into the CSR offsets, then a per-lane
-    /// scatter into disjoint slot ranges. Within every bucket items stay in
-    /// ascending index order, so the arrays are bit-identical at any lane
+    /// scatter into disjoint slot ranges. Within every bucket items keep the
+    /// order of the input span, so the arrays are bit-identical at any lane
     /// count. Scratch buffers are reused, so steady-state rebuilds allocate
-    /// nothing. Indices reported by queries refer to positions in this span.
-    /// Positions are copied so the caller may mutate theirs.
+    /// nothing. Positions are copied so the caller may mutate theirs.
+    ///
+    /// Queries report \p ids[i] for positions[i] (ids.size() must equal
+    /// positions.size()); the overloads without ids report i itself.
+    void rebuild(std::span<const vec2> positions, std::span<const std::uint32_t> ids,
+                 util::parallel_executor& ex);
     void rebuild(std::span<const vec2> positions, util::parallel_executor& ex);
 
     /// rebuild() on one lane of the calling thread.
     void rebuild(std::span<const vec2> positions);
+
+    /// Exchange the bucket-sorted position copies (sorted_points()) with
+    /// \p other, so a caller can adopt them as its own storage without a
+    /// copy and hand a same-sized buffer back. Queries read the swapped-in
+    /// contents, so they are meaningless until the next rebuild().
+    void swap_sorted_points(std::vector<vec2>& other) noexcept { sorted_points_.swap(other); }
 
     [[nodiscard]] double side() const noexcept { return side_; }
     [[nodiscard]] double bucket_side() const noexcept { return bucket_side_; }
     [[nodiscard]] std::int32_t buckets_per_side() const noexcept { return m_; }
     [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
 
-    /// Visit the index of every point with dist(point, p) <= r.
+    /// Visit the id of every point with dist(point, p) <= r.
     template <typename Fn>
     void for_each_in_radius(vec2 p, double r, Fn&& fn) const {
         const double r2 = r * r;
@@ -73,7 +84,7 @@ class uniform_grid {
         return found;
     }
 
-    /// Indices of all points within distance r of p (allocating convenience).
+    /// Ids of all points within distance r of p (allocating convenience).
     [[nodiscard]] std::vector<std::uint32_t> query(vec2 p, double r) const;
 
     // ---- bucket metadata for span-based kernels (core/flooding.cpp) ----
@@ -82,7 +93,8 @@ class uniform_grid {
     // of them reflect the state as of the last rebuild.
 
     [[nodiscard]] std::size_t bucket_count() const noexcept { return offsets_.size() - 1; }
-    /// Bucket holding input point \p i (i indexes the span passed to rebuild).
+    /// Bucket holding input point \p i (i indexes the positions passed to
+    /// rebuild, not the ids).
     [[nodiscard]] std::uint32_t bucket_of_item(std::size_t i) const noexcept {
         return bucket_of_[i];
     }
@@ -91,7 +103,7 @@ class uniform_grid {
     [[nodiscard]] std::size_t bucket_end(std::size_t b) const noexcept {
         return offsets_[b + 1];
     }
-    /// Input indices grouped by bucket / their positions, bucket-sorted.
+    /// Point ids grouped by bucket / their positions, bucket-sorted.
     [[nodiscard]] std::span<const std::uint32_t> items() const noexcept { return items_; }
     [[nodiscard]] std::span<const vec2> sorted_points() const noexcept {
         return sorted_points_;
@@ -122,6 +134,8 @@ class uniform_grid {
 
  private:
     [[nodiscard]] std::int32_t bucket_index(double v) const noexcept;
+    template <typename IdOf>
+    void rebuild_with(std::span<const vec2> positions, IdOf id_of, util::parallel_executor& ex);
     [[nodiscard]] std::size_t bucket_of(vec2 p) const noexcept {
         return static_cast<std::size_t>(bucket_index(p.y)) * static_cast<std::size_t>(m_) +
                static_cast<std::size_t>(bucket_index(p.x));
@@ -164,7 +178,7 @@ class uniform_grid {
     std::int32_t m_;
     std::vector<vec2> sorted_points_;    // position copies grouped by bucket (item order)
     std::vector<std::size_t> offsets_;   // CSR offsets, size m*m+1
-    std::vector<std::uint32_t> items_;   // point indices grouped by bucket
+    std::vector<std::uint32_t> items_;   // point ids grouped by bucket
     // Rebuild scratch, reused across steps (the per-step hot path must not
     // allocate):
     std::vector<std::uint32_t> bucket_of_;  // bucket of every input point

@@ -13,7 +13,14 @@ trajectory_recorder::trajectory_recorder(std::size_t agent_count)
 }
 
 void trajectory_recorder::capture(const walker& w) {
-    capture(w.positions());
+    if (w.size() != agent_count_) {
+        throw std::invalid_argument("trajectory_recorder: agent count mismatch");
+    }
+    // Frames are in id order, whatever the walker's storage order.
+    for (std::size_t id = 0; id < agent_count_; ++id) {
+        buffer_.push_back(w.position(id));
+    }
+    frames_ = true;
 }
 
 void trajectory_recorder::capture(std::span<const geom::vec2> positions) {

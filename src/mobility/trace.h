@@ -27,8 +27,9 @@ class trajectory_recorder {
     /// Prepares a recorder for \p agent_count agents. Throws if zero.
     explicit trajectory_recorder(std::size_t agent_count);
 
-    /// Record the walker's current positions as the next frame. The walker
-    /// must have exactly agent_count() agents.
+    /// Record the walker's current positions, in agent-id order whatever
+    /// its storage order, as the next frame. The walker must have exactly
+    /// agent_count() agents.
     void capture(const walker& w);
 
     /// Record a raw position snapshot (test fixtures).

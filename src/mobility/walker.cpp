@@ -1,5 +1,6 @@
 #include "mobility/walker.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace manhattan::mobility {
@@ -40,18 +41,22 @@ void walker::advance_all(double distance, util::parallel_executor& ex) {
         advance_lane(*model_, soa_, begin, end, distance, turn_counts_.data(),
                      arrival_counts_.data(), pending_[lane]);
     });
-    // Lanes are contiguous ascending ranges, so draining them in lane order
-    // visits pending agents in ascending id — the one-lane draw order.
-    for (const auto& pending : pending_) {
-        resume_pending(pending);
+    // Lanes cover slot ranges, and slots follow ids only until the storage
+    // is reordered: merge the lanes' draws and replay them in ascending id,
+    // the draw order of a one-lane walker in id order. A step owes a few
+    // hundred draws at most, so the sort is cheap.
+    std::vector<pending_trip>& due = pending_.front();
+    for (std::size_t lane = 1; lane < pending_.size(); ++lane) {
+        due.insert(due.end(), pending_[lane].begin(), pending_[lane].end());
     }
-}
-
-void walker::resume_pending(const std::vector<pending_trip>& pending) {
-    for (const auto& [agent, partial] : pending) {
-        trip_state s = soa_.get(agent);
+    std::sort(due.begin(), due.end(),
+              [](const pending_trip& a, const pending_trip& b) { return a.agent < b.agent; });
+    const auto slots = soa_.slots();
+    for (const auto& [agent, partial] : due) {
+        const std::uint32_t slot = slots[agent];
+        trip_state s = soa_.get(slot);
         const advance_events ev = advance_resume(*model_, s, partial, gen_);
-        soa_.set(agent, s);
+        soa_.set(slot, s);
         turn_counts_[agent] += ev.turns;
         arrival_counts_[agent] += ev.arrivals;
     }
@@ -75,18 +80,18 @@ void walker::advance_time(double duration) {
     advance_all(duration * speed_, one_lane);
 }
 
-trip_state walker::agent(std::size_t i) const {
-    if (i >= soa_.size()) {
+trip_state walker::agent(std::size_t id) const {
+    if (id >= soa_.size()) {
         throw std::out_of_range("walker::agent: index out of range");
     }
-    return soa_.get(i);
+    return soa_.get(soa_.slots()[id]);
 }
 
-void walker::set_agent(std::size_t i, const trip_state& s) {
-    if (i >= soa_.size()) {
+void walker::set_agent(std::size_t id, const trip_state& s) {
+    if (id >= soa_.size()) {
         throw std::out_of_range("walker::set_agent: index out of range");
     }
-    soa_.set(i, s);
+    soa_.set(soa_.slots()[id], s);
 }
 
 }  // namespace manhattan::mobility

@@ -1,8 +1,52 @@
 #include "mobility/walker_soa.h"
 
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
+#include <utility>
 
 namespace manhattan::mobility {
+
+void walker_soa::resize(std::size_t n) {
+    pos_.resize(n);
+    way_.resize(n);
+    dest_.resize(n);
+    leg_.resize(n, 1);
+    id_of_.resize(n);
+    std::iota(id_of_.begin(), id_of_.end(), 0u);
+    slot_of_ = id_of_;
+}
+
+void walker_soa::reorder(std::span<const std::uint32_t> ids,
+                         std::vector<geom::vec2>& positions) {
+    const std::size_t n = size();
+    if (ids.size() != n || positions.size() != n) {
+        throw std::invalid_argument("walker_soa::reorder: size mismatch");
+    }
+    // One pass through the id-indexed (randomly accessed) slot_of_ both
+    // rewrites it and parks each new slot's old slot in id_of_, so the
+    // gathers below read their sources in near-sequential order whenever
+    // the storage was nearly sorted already.
+    std::uint32_t* const from = id_of_.data();
+    for (std::size_t k = 0; k < n; ++k) {
+        from[k] = std::exchange(slot_of_[ids[k]], static_cast<std::uint32_t>(k));
+    }
+    // Adopt the caller's positions, then gather each remaining field into
+    // the buffer the previous field vacated.
+    pos_.swap(positions);
+    leg_scratch_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        positions[k] = way_[from[k]];
+        leg_scratch_[k] = leg_[from[k]];
+    }
+    way_.swap(positions);
+    leg_.swap(leg_scratch_);
+    for (std::size_t k = 0; k < n; ++k) {
+        positions[k] = dest_[from[k]];
+    }
+    dest_.swap(positions);
+    id_of_.assign(ids.begin(), ids.end());
+}
 
 void advance_lane(const mobility_model& model, walker_soa& soa, std::size_t begin,
                   std::size_t end, double distance, std::uint64_t* turn_counts,
@@ -12,6 +56,7 @@ void advance_lane(const mobility_model& model, walker_soa& soa, std::size_t begi
     }
     geom::vec2* const pos = soa.pos();
     const geom::vec2* const way = soa.way();
+    const auto ids = soa.ids();
     for (std::size_t i = begin; i < end; ++i) {
         // Mid-leg fast path == the first advance_core iteration, expression
         // order preserved: remaining = sqrt((pos-way).x^2 + (pos-way).y^2)
@@ -32,10 +77,11 @@ void advance_lane(const mobility_model& model, walker_soa& soa, std::size_t begi
         trip_state s = soa.get(i);
         const partial_advance p = advance_deterministic(model, s, distance);
         soa.set(i, s);
-        turn_counts[i] += p.events.turns;
-        arrival_counts[i] += p.events.arrivals;
+        const std::uint32_t id = ids[i];
+        turn_counts[id] += p.events.turns;
+        arrival_counts[id] += p.events.arrivals;
         if (p.needs_trip) {
-            pending.push_back({static_cast<std::uint32_t>(i), p});
+            pending.push_back({id, p});
         }
     }
 }

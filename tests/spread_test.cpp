@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include "core/flooding.h"
@@ -28,6 +29,13 @@ using manhattan::rng::rng;
 
 constexpr double kL = 100.0;
 
+/// The identity slot -> id map: positions given in id order.
+std::vector<std::uint32_t> id_order(const std::vector<vec2>& positions) {
+    std::vector<std::uint32_t> ids(positions.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    return ids;
+}
+
 mobility::walker frozen_walker(const std::vector<vec2>& positions) {
     auto model = std::make_shared<mobility::static_model>(kL);
     mobility::walker w(model, positions.size(), 0.0, rng{1});
@@ -46,61 +54,87 @@ mobility::walker frozen_walker(const std::vector<vec2>& positions) {
 
 TEST(source_spec_test, validation_errors) {
     const std::vector<vec2> p{{1, 1}, {2, 2}, {3, 3}};
+    const auto ids = id_order(p);
     EXPECT_THROW((void)core::resolve_sources(core::source_spec::at(
-                     core::source_placement::random_agent, 0), p, kL, 1),
+                     core::source_placement::random_agent, 0), p, ids, kL, 1),
                  std::invalid_argument);
-    EXPECT_THROW((void)core::resolve_sources(core::source_spec::random(4), p, kL, 1),
+    EXPECT_THROW((void)core::resolve_sources(core::source_spec::random(4), p, ids, kL, 1),
                  std::invalid_argument);
-    EXPECT_THROW((void)core::resolve_sources(core::source_spec::agents({}), p, kL, 1),
+    EXPECT_THROW((void)core::resolve_sources(core::source_spec::agents({}), p, ids, kL, 1),
                  std::invalid_argument);
-    EXPECT_THROW((void)core::resolve_sources(core::source_spec::agents({0, 0}), p, kL, 1),
+    EXPECT_THROW((void)core::resolve_sources(core::source_spec::agents({0, 0}), p, ids, kL, 1),
                  std::invalid_argument);
-    EXPECT_THROW((void)core::resolve_sources(core::source_spec::agents({3}), p, kL, 1),
+    EXPECT_THROW((void)core::resolve_sources(core::source_spec::agents({3}), p, ids, kL, 1),
                  std::invalid_argument);
 }
 
 TEST(source_spec_test, random_placement_takes_prefix_of_exchangeable_sample) {
     const std::vector<vec2> p{{5, 5}, {1, 1}, {9, 9}, {2, 2}};
+    const auto ids = id_order(p);
     const auto one = core::resolve_sources(
-        core::source_spec::at(core::source_placement::random_agent), p, kL, 1);
+        core::source_spec::at(core::source_placement::random_agent), p, ids, kL, 1);
     EXPECT_EQ(one, (std::vector<std::uint32_t>{0}));
     const auto three = core::resolve_sources(
-        core::source_spec::at(core::source_placement::random_agent, 3), p, kL, 1);
+        core::source_spec::at(core::source_placement::random_agent, 3), p, ids, kL, 1);
     EXPECT_EQ(three, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(source_spec_test, placement_rules_pick_nearest_to_target) {
     // Square of side 10 with agents near each corner and the center.
     const std::vector<vec2> p{{1, 1}, {9, 9}, {1, 9}, {9, 1}, {5, 5}};
+    const auto ids = id_order(p);
     const double side = 10.0;
     using sp = core::source_placement;
-    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_most), p, side, 1),
+    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_most), p, ids, side, 1),
               (std::vector<std::uint32_t>{0}));
-    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_ne), p, side, 1),
+    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_ne), p, ids, side, 1),
               (std::vector<std::uint32_t>{1}));
-    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_nw), p, side, 1),
+    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_nw), p, ids, side, 1),
               (std::vector<std::uint32_t>{2}));
-    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_se), p, side, 1),
+    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_se), p, ids, side, 1),
               (std::vector<std::uint32_t>{3}));
-    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::center_most), p, side, 1),
+    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::center_most), p, ids, side, 1),
               (std::vector<std::uint32_t>{4}));
     // count > 1: the two nearest the SW corner, ascending id.
-    EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_most, 2), p, side, 1),
+    EXPECT_EQ(
+        core::resolve_sources(core::source_spec::at(sp::corner_most, 2), p, ids, side, 1),
               (std::vector<std::uint32_t>{0, 4}));
+}
+
+TEST(source_spec_test, placement_ignores_the_storage_order) {
+    // Agents 0 and 3 tie for the SW corner; storage lists 3 before 0.
+    const std::vector<vec2> by_id{{1, 1}, {9, 9}, {5, 5}, {1, 1}, {2, 2}};
+    const std::vector<std::uint32_t> ids{3, 1, 4, 0, 2};
+    std::vector<vec2> stored;
+    for (const std::uint32_t id : ids) {
+        stored.push_back(by_id[id]);
+    }
+    using sp = core::source_placement;
+    for (const std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        EXPECT_EQ(core::resolve_sources(core::source_spec::at(sp::corner_most, count), stored,
+                                        ids, 10.0, 1),
+                  core::resolve_sources(core::source_spec::at(sp::corner_most, count), by_id,
+                                        id_order(by_id), 10.0, 1))
+            << "count " << count;
+    }
+    EXPECT_EQ(
+        core::resolve_sources(core::source_spec::at(sp::corner_most), stored, ids, 10.0, 1),
+              (std::vector<std::uint32_t>{0}));
 }
 
 TEST(source_spec_test, random_k_is_a_deterministic_distinct_subset) {
     std::vector<vec2> p(50, vec2{1, 1});
-    const auto a = core::resolve_sources(core::source_spec::random(8), p, kL, 42);
-    const auto b = core::resolve_sources(core::source_spec::random(8), p, kL, 42);
+    const auto ids = id_order(p);
+    const auto a = core::resolve_sources(core::source_spec::random(8), p, ids, kL, 42);
+    const auto b = core::resolve_sources(core::source_spec::random(8), p, ids, kL, 42);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.size(), 8u);
     EXPECT_EQ(std::set<std::uint32_t>(a.begin(), a.end()).size(), 8u);
     EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
-    const auto c = core::resolve_sources(core::source_spec::random(8), p, kL, 43);
+    const auto c = core::resolve_sources(core::source_spec::random(8), p, ids, kL, 43);
     EXPECT_NE(a, c);
     // k == n returns the whole population.
-    const auto all = core::resolve_sources(core::source_spec::random(50), p, kL, 7);
+    const auto all = core::resolve_sources(core::source_spec::random(50), p, ids, kL, 7);
     EXPECT_EQ(all.size(), 50u);
 }
 
