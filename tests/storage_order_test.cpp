@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
