@@ -127,13 +127,11 @@ inline std::size_t count_arg(const util::cli_args& args, const std::string& key,
     return static_cast<std::size_t>(value);
 }
 
-/// Engine execution knobs every binary shares: `--threads=` (0 = all cores)
-/// and `--chunk=` (replicas per work unit). Results are identical for any
-/// value of either — they only change wall-clock time.
+/// Engine execution knob every binary shares: `--threads=` (0 = all cores).
+/// Results are identical for any value — it only changes wall-clock time.
 inline engine::run_options engine_options(const util::cli_args& args) {
     engine::run_options opts;
     opts.threads = count_arg(args, "threads", 0);
-    opts.chunk = count_arg(args, "chunk", 1);
     return opts;
 }
 
@@ -548,50 +546,18 @@ class fabric_set {
 
     [[nodiscard]] bool active() const noexcept { return active_; }
     [[nodiscard]] const engine::fabric_options& options() const noexcept { return opts_; }
-    [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
 
-    /// Drain one sweep through the fabric and return its rows exactly as
-    /// run_sweep would: init the directory (idempotent — racing workers
-    /// agree on the spec bytes), claim and run batches until every worker's
-    /// records cover the grid, then merge the ledgers and re-aggregate the
-    /// rows into \p sinks. Byte-identical output to a single-process run.
-    /// Throws engine::fabric_partial when a graceful stop or quarantined
-    /// work left the grid incomplete (→ exit_partial via guarded_main).
-    engine::sweep_result run(const engine::sweep_spec& spec,
-                             const engine::run_options& run_opts,
-                             std::span<engine::result_sink* const> sinks) {
-        const util::timer clock;
+    /// Drain one sweep through the fabric (engine::drain_fabric) into
+    /// \p sinks: byte-identical output to a single-process run. Throws
+    /// engine::fabric_partial when a graceful stop or quarantined work left
+    /// the grid incomplete (→ exit_partial via guarded_main).
+    void run(const engine::sweep_spec& spec, const engine::run_options& run_opts,
+             std::span<engine::result_sink* const> sinks) {
         engine::fabric_options opts = opts_;
-        ++sweep_;
-        if (sweep_ > 1) {
+        if (++sweep_ > 1) {
             opts.dir += "." + std::to_string(sweep_);
         }
-        engine::init_fabric(opts.dir, spec, batch_);
-        const engine::fabric_report report = engine::run_fabric_worker(opts, run_opts);
-        if (!report.complete) {
-            throw engine::fabric_partial(
-                "fabric '" + opts.dir + "' stopped before full coverage (" +
-                std::to_string(report.fresh) + " fresh replicas this worker); rerun or "
-                "start more workers to finish");
-        }
-        const engine::fabric_spec fspec = engine::load_fabric(opts.dir);
-        const engine::fabric_merge merged = engine::merge_fabric(opts.dir, fspec);
-        if (!merged.complete()) {
-            throw engine::fabric_partial(
-                "fabric '" + opts.dir + "' has " +
-                std::to_string(merged.quarantined.size()) + " quarantined and " +
-                std::to_string(merged.missing.size()) +
-                " missing replicas; inspect quarantine/ or merge with sweep-merge "
-                "--allow-partial");
-        }
-        engine::memory_sink rows;
-        std::vector<engine::result_sink*> all(sinks.begin(), sinks.end());
-        all.push_back(&rows);
-        engine::replay_rows(fspec, merged, all);
-        engine::sweep_result result;
-        result.rows = rows.rows();
-        result.wall_seconds = clock.seconds();
-        return result;
+        (void)engine::drain_fabric(spec, batch_, opts, run_opts, sinks);
     }
 
  private:
@@ -701,7 +667,7 @@ class sweep_harness {
         }
         const std::vector<engine::result_sink*> sinks = sinks_.with(&rows);
         if (fabric_.active()) {
-            (void)fabric_.run(spec, opts, sinks);
+            fabric_.run(spec, opts, sinks);
         } else {
             (void)engine::run_sweep(spec, opts, sinks, ckpt_.next());
         }

@@ -44,10 +44,8 @@ int main(int argc, char** argv) {
         if (args.has("manifest")) {
             engine::save_manifest(merged.manifest, args.get_string("manifest", ""));
         }
-        if (!merged.complete() && !allow_partial) {
-            bench::note("sweep-merge: coverage incomplete — rerun workers, or pass "
-                        "--allow-partial to emit the complete points");
-            return engine::exit_partial;
+        if (!allow_partial) {
+            merged.require_complete(dir);  // holes: fabric_partial, exit 6
         }
 
         bench::sink_set sinks(args);

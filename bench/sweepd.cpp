@@ -53,11 +53,7 @@ int main(int argc, char** argv) {
         if (!sinks.span().empty()) {
             const engine::fabric_spec spec = engine::load_fabric(opts.dir);
             const engine::fabric_merge merged = engine::merge_fabric(opts.dir, spec);
-            if (!merged.complete()) {
-                bench::note("sweepd: coverage has quarantined/missing replicas; "
-                            "use sweep-merge --allow-partial for partial output");
-                return engine::exit_partial;
-            }
+            merged.require_complete(opts.dir);  // holes: fabric_partial, exit 6
             const std::size_t rows = engine::replay_rows(spec, merged, sinks.span());
             sinks.finish();
             bench::note("sweepd: replayed " + std::to_string(rows) + " rows");

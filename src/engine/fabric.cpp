@@ -7,9 +7,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <future>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -28,16 +26,6 @@ namespace fs = std::filesystem;
 namespace manhattan::engine {
 
 namespace {
-
-/// Whole file, or nullopt when it cannot be read (vanished, permissions).
-std::optional<std::string> slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return std::nullopt;
-    }
-    return std::string{std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>()};
-}
 
 // ------------------------------------------------------------- dir layout --
 
@@ -125,7 +113,7 @@ std::size_t try_claim(const std::string& dir, std::size_t b, const std::string& 
     const auto mtime = fs::last_write_time(lease, ec);
     if (!ec) {
         std::optional<lease_info> info;
-        if (const auto text = slurp(lease)) {
+        if (const auto text = read_file(lease)) {
             info = parse_lease(*text);
         }
         const bool ours = info && info->owner == owner;
@@ -136,7 +124,7 @@ std::size_t try_claim(const std::string& dir, std::size_t b, const std::string& 
         ::rename(lease.c_str(), tomb.c_str());  // a loser's ENOENT is fine
     }
     std::size_t prev = 0;
-    if (const auto tomb_text = slurp(tomb)) {
+    if (const auto tomb_text = read_file(tomb)) {
         if (const auto info = parse_lease(*tomb_text)) {
             prev = info->attempts;
         }
@@ -292,8 +280,7 @@ std::vector<std::vector<std::uint8_t>> recorded_elsewhere(const std::string& dir
         }
         try {
             const run_manifest m = load_manifest(entry.path().string());
-            if (m.fingerprint != spec.fingerprint || m.points != spec.points.size() ||
-                m.repetitions != spec.repetitions) {
+            if (!m.matches(spec.fingerprint, spec.points.size(), spec.repetitions)) {
                 continue;  // some other sweep's ledger; merge rejects it loudly
             }
             for (const auto& rec : m.records) {
@@ -485,7 +472,7 @@ fabric_spec init_fabric(const std::string& dir, const sweep_spec& spec, std::siz
 }
 
 fabric_spec load_fabric(const std::string& dir) {
-    const auto text = slurp(spec_path(dir));
+    const auto text = read_file(spec_path(dir));
     if (!text) {
         throw error(errc::state, "fabric: no sweep.spec in '" + dir +
                                      "' — run init_fabric (or a bench with --fabric=) "
@@ -516,25 +503,18 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
     // This worker's ledger: resume our own previous records when restarting
     // under the same owner name.
     const std::string own_ledger = ledger_path(opts.dir, opts.owner);
-    run_manifest manifest;
-    manifest.fingerprint = spec.fingerprint;
-    manifest.points = spec.points.size();
-    manifest.repetitions = reps;
-    if (fs::exists(own_ledger)) {
-        manifest = load_manifest(own_ledger);
-        if (manifest.fingerprint != spec.fingerprint ||
-            manifest.points != spec.points.size() || manifest.repetitions != reps) {
-            throw manifest_error("fabric: ledger '" + own_ledger +
-                                 "' does not match this fabric's sweep.spec — stale "
-                                 "directory or reused owner name");
-        }
-    }
+    run_manifest manifest =
+        open_manifest(own_ledger, spec.fingerprint, spec.points.size(), reps);
     std::vector<std::vector<std::uint8_t>> own(spec.points.size(),
                                                std::vector<std::uint8_t>(reps, 0));
     for (const auto& rec : manifest.records) {
         own[rec.point][rec.replica] = 1;
     }
     checkpoint_ledger ledger(std::move(manifest), own_ledger, 1);
+    std::vector<std::vector<std::uint64_t>> seeds(spec.points.size());
+    for (std::size_t p = 0; p < spec.points.size(); ++p) {
+        seeds[p] = replica_seeds(spec.points[p].sc.seed, reps);
+    }
 
     std::optional<thread_pool> owned_pool;
     thread_pool& pool = run.pool != nullptr ? *run.pool : owned_pool.emplace(run.threads);
@@ -649,7 +629,7 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
                         try {
                             fault::inject("replica.run");
                             core::scenario sc = spec.points[p].sc;
-                            sc.seed = replica_seeds(spec.points[p].sc.seed, reps)[r];
+                            sc.seed = seeds[p][r];
                             replica_stat stat =
                                 reduce_outcome(core::run_scenario(sc));
                             ledger.record(p, r, std::move(stat));
@@ -743,8 +723,7 @@ fabric_merge merge_fabric(const std::string& dir, const fabric_spec& spec) {
     };
     for (const auto& path : ledgers) {
         const run_manifest m = load_manifest(path);
-        if (m.fingerprint != spec.fingerprint || m.points != spec.points.size() ||
-            m.repetitions != reps) {
+        if (!m.matches(spec.fingerprint, spec.points.size(), reps)) {
             throw error(errc::state, "fabric: ledger '" + path +
                                          "' does not match this fabric's sweep.spec");
         }
@@ -807,6 +786,15 @@ fabric_merge merge_fabric(const std::string& dir, const fabric_spec& spec) {
     return merged;
 }
 
+void fabric_merge::require_complete(const std::string& dir) const {
+    if (!complete()) {
+        throw fabric_partial("fabric '" + dir + "' has " + std::to_string(quarantined.size()) +
+                             " quarantined and " + std::to_string(missing.size()) +
+                             " missing replicas; inspect quarantine/ or merge with "
+                             "sweep-merge --allow-partial");
+    }
+}
+
 std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
                         std::span<result_sink* const> sinks, bool allow_partial) {
     const std::size_t reps = spec.repetitions;
@@ -838,6 +826,23 @@ std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
         ++rows;
     }
     return rows;
+}
+
+fabric_merge drain_fabric(const sweep_spec& spec, std::size_t batch,
+                          const fabric_options& opts, const run_options& run,
+                          std::span<result_sink* const> sinks) {
+    const fabric_spec fspec = init_fabric(opts.dir, spec, batch);
+    const fabric_report report = run_fabric_worker(opts, run);
+    if (!report.complete) {
+        throw fabric_partial("fabric '" + opts.dir + "' stopped before full coverage (" +
+                             std::to_string(report.fresh) +
+                             " fresh replicas this worker); rerun or start more workers to "
+                             "finish");
+    }
+    fabric_merge merged = merge_fabric(opts.dir, fspec);
+    merged.require_complete(opts.dir);
+    (void)replay_rows(fspec, merged, sinks);
+    return merged;
 }
 
 }  // namespace manhattan::engine

@@ -164,6 +164,11 @@ struct fabric_merge {
     [[nodiscard]] bool complete() const noexcept {
         return quarantined.empty() && missing.empty();
     }
+    /// Throw fabric_partial, naming fabric \p dir and the quarantined and
+    /// missing counts, unless complete() — the coverage check between
+    /// merge_fabric and replay_rows that drain_fabric, sweepd and sweep-merge
+    /// share.
+    void require_complete(const std::string& dir) const;
 };
 
 /// Merge every ledger-*.manifest in DIR (filename order): validate each
@@ -181,5 +186,15 @@ struct fabric_merge {
 /// engine::error (class state). Returns the number of rows emitted.
 std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
                         std::span<result_sink* const> sinks, bool allow_partial = false);
+
+/// One sweep through the fabric, start to finish, as every in-process
+/// consumer runs it (the benches' --fabric=, the daemon's fabric_root):
+/// init_fabric(opts.dir, spec, batch); run_fabric_worker; merge_fabric;
+/// replay_rows into \p sinks — output byte-identical to run_sweep. Throws
+/// fabric_partial when the drain stopped before coverage or the merge has
+/// quarantined or missing pairs (no row is replayed then). Returns the merge.
+fabric_merge drain_fabric(const sweep_spec& spec, std::size_t batch,
+                          const fabric_options& opts, const run_options& run,
+                          std::span<result_sink* const> sinks);
 
 }  // namespace manhattan::engine

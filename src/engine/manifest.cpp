@@ -295,18 +295,53 @@ void save_manifest(const run_manifest& manifest, const std::string& path) {
     atomic_write_file(path, serialize_manifest(manifest));
 }
 
-run_manifest load_manifest(const std::string& path) {
+std::optional<std::string> read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
-        throw manifest_error("manifest: cannot open '" + path + "'");
+        return std::nullopt;
     }
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
+    return std::string{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+namespace {
+
+run_manifest parse_manifest_file(const std::string& text, const std::string& path) {
     try {
         return parse_manifest(text);
     } catch (const manifest_error& e) {
         throw manifest_error(std::string{e.what()} + " (file '" + path + "')");
     }
+}
+
+}  // namespace
+
+run_manifest load_manifest(const std::string& path) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) {
+        throw manifest_error("manifest: cannot open '" + path + "'");
+    }
+    return parse_manifest_file(*text, path);
+}
+
+run_manifest open_manifest(const std::string& path, std::uint64_t fp, std::size_t points,
+                           std::size_t reps) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) {
+        return {fp, points, reps, {}};
+    }
+    run_manifest manifest = parse_manifest_file(*text, path);
+    if (!manifest.matches(fp, points, reps)) {
+        throw manifest_error(
+            "manifest: '" + path + "' does not match this sweep (manifest fingerprint " +
+            fingerprint_hex(manifest.fingerprint) + ", " + std::to_string(manifest.points) +
+            " points x " + std::to_string(manifest.repetitions) + " reps; sweep fingerprint " +
+            fingerprint_hex(fp) + ", " + std::to_string(points) + " points x " +
+            std::to_string(reps) +
+            " reps). The axes, seed, repetitions or engine version changed since the ledger "
+            "was written — delete it, or rerun without --resume= or in a fresh fabric "
+            "directory");
+    }
+    return manifest;
 }
 
 checkpoint_ledger::checkpoint_ledger(run_manifest manifest, std::string path,

@@ -203,6 +203,13 @@ struct run_manifest {
     /// Every (point, replica) pair recorded?
     [[nodiscard]] bool complete() const;
 
+    /// Does this ledger belong to the sweep with \p fp over \p grid_points
+    /// x \p reps?
+    [[nodiscard]] bool matches(std::uint64_t fp, std::size_t grid_points,
+                               std::size_t reps) const noexcept {
+        return fingerprint == fp && points == grid_points && repetitions == reps;
+    }
+
     friend bool operator==(const run_manifest&, const run_manifest&) = default;
 };
 
@@ -242,6 +249,10 @@ struct run_manifest {
 /// filesystem hiccups.
 void atomic_write_file(const std::string& path, const std::string& contents);
 
+/// The whole file at \p path, or nullopt when it cannot be opened (absent,
+/// vanished, unreadable) — the one way every state file is read.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
+
 /// Serialize / parse the manifest text format (see docs/ENGINE.md). Doubles
 /// are stored as IEEE-754 bit patterns, so a round trip is always exact.
 [[nodiscard]] std::string serialize_manifest(const run_manifest& manifest);
@@ -255,6 +266,15 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
 /// missing, truncated or corrupt file (truncation is caught by the trailing
 /// record-count line that serialize_manifest always writes).
 [[nodiscard]] run_manifest load_manifest(const std::string& path);
+
+/// The ledger of one sweep (fingerprint \p fp, \p points x \p reps): the
+/// file at \p path when it exists, else an empty ledger for this sweep.
+/// Throws manifest_error when the file is corrupt or belongs to another
+/// sweep — the message names the path and both digests, so an edited sweep
+/// never silently mixes rows with a stale ledger. run_sweep's checkpoint
+/// and each fabric worker's own ledger open through here.
+[[nodiscard]] run_manifest open_manifest(const std::string& path, std::uint64_t fp,
+                                         std::size_t points, std::size_t reps);
 
 /// Reduce one scenario run's outcome (which carries n-sized vectors) to the
 /// scalars its sweep row aggregates — the ledger's replica_stat. The single

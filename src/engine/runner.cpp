@@ -16,7 +16,7 @@ std::vector<std::uint64_t> replica_seeds(std::uint64_t base_seed, std::size_t co
 
 std::vector<core::scenario_outcome> run_replicas(thread_pool& pool,
                                                  const core::scenario& base,
-                                                 std::size_t repetitions, std::size_t chunk) {
+                                                 std::size_t repetitions) {
     const auto seeds = replica_seeds(base.seed, repetitions);
     std::vector<core::scenario_outcome> outcomes(repetitions);
     pool.parallel_for(
@@ -26,7 +26,7 @@ std::vector<core::scenario_outcome> run_replicas(thread_pool& pool,
             sc.seed = seeds[r];
             outcomes[r] = core::run_scenario(sc);
         },
-        chunk);
+        1);
     return outcomes;
 }
 
@@ -34,7 +34,7 @@ std::vector<core::scenario_outcome> run_replicas(const core::scenario& base,
                                                  std::size_t repetitions,
                                                  const run_options& opts) {
     thread_pool pool(opts.threads);
-    return run_replicas(pool, base, repetitions, opts.chunk);
+    return run_replicas(pool, base, repetitions);
 }
 
 std::vector<double> flooding_times(const core::scenario& base, std::size_t repetitions,
@@ -52,7 +52,7 @@ std::vector<double> flooding_times(const core::scenario& base, std::size_t repet
             const core::scenario_outcome out = core::run_scenario(sc);
             times[r] = static_cast<double>(out.spread.messages.front().flooding_time);
         },
-        opts.chunk);
+        1);
     return times;
 }
 

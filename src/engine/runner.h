@@ -26,9 +26,6 @@ class trace_sink;
 /// `--threads=` / `--reps=` straight onto these).
 struct run_options {
     std::size_t threads = 0;  ///< worker count; 0 = hardware concurrency
-    std::size_t chunk = 1;    ///< replicas per work unit in run_replicas /
-                              ///< flooding_times (1 = best balance; the sweep
-                              ///< driver always schedules per-replica)
 
     /// Caller-owned shared pool (optional). When set, run_sweep and
     /// run_fabric_worker schedule on it instead of constructing their own —
@@ -63,8 +60,7 @@ struct run_options {
 /// Same, on a caller-owned pool (the sweep driver reuses one pool across
 /// every grid point instead of respawning workers per row).
 [[nodiscard]] std::vector<core::scenario_outcome> run_replicas(
-    thread_pool& pool, const core::scenario& base, std::size_t repetitions,
-    std::size_t chunk = 1);
+    thread_pool& pool, const core::scenario& base, std::size_t repetitions);
 
 /// Flooding times (steps) of \p repetitions replicas — the parallel engine
 /// behind core::flooding_times. Incomplete runs contribute max_steps.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -212,51 +211,6 @@ replica_stat reduce_outcome(const core::scenario_outcome& out) {
     return stat;
 }
 
-namespace {
-
-/// Load (or initialise) the checkpoint ledger for this sweep. A pre-existing
-/// manifest is validated against the spec fingerprint and grid shape — a
-/// mismatch hard-fails so an edited sweep can never silently mix rows with a
-/// stale ledger.
-std::unique_ptr<checkpoint_ledger> open_ledger(const checkpoint_options& checkpoint,
-                                               std::span<const sweep_point> points,
-                                               std::size_t reps) {
-    if (checkpoint.manifest_path.empty()) {
-        return nullptr;
-    }
-    const std::uint64_t fingerprint = sweep_fingerprint(points, reps);
-    run_manifest manifest;
-    const bool exists = [&] {
-        std::ifstream probe(checkpoint.manifest_path);
-        return probe.good();
-    }();
-    if (exists) {
-        manifest = load_manifest(checkpoint.manifest_path);
-        if (manifest.fingerprint != fingerprint || manifest.points != points.size() ||
-            manifest.repetitions != reps) {
-            throw manifest_error(
-                "manifest: '" + checkpoint.manifest_path +
-                "' does not match this sweep (manifest fingerprint " +
-                fingerprint_hex(manifest.fingerprint) + ", " +
-                std::to_string(manifest.points) + " points x " +
-                std::to_string(manifest.repetitions) + " reps; sweep fingerprint " +
-                fingerprint_hex(fingerprint) + ", " + std::to_string(points.size()) +
-                " points x " + std::to_string(reps) +
-                " reps). The axes, seed, repetitions or engine version changed since the "
-                "checkpoint was written — delete the manifest or rerun without --resume=");
-        }
-    } else {
-        manifest.fingerprint = fingerprint;
-        manifest.points = points.size();
-        manifest.repetitions = reps;
-    }
-    return std::make_unique<checkpoint_ledger>(std::move(manifest),
-                                               checkpoint.manifest_path,
-                                               checkpoint.checkpoint_every);
-}
-
-}  // namespace
-
 sweep_row aggregate_sweep_row(const sweep_point& point,
                               std::span<const replica_stat> stats) {
     const std::size_t reps = stats.size();
@@ -319,7 +273,13 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
     // compute the missing ones. Because seeds[p] is a pure function of the
     // point's base seed, a partially complete point restarts at the exact
     // replica boundary and the resumed output is bit-identical.
-    const auto ledger = open_ledger(checkpoint, points, reps);
+    std::unique_ptr<checkpoint_ledger> ledger;
+    if (!checkpoint.manifest_path.empty()) {
+        ledger = std::make_unique<checkpoint_ledger>(
+            open_manifest(checkpoint.manifest_path, sweep_fingerprint(points, reps),
+                          points.size(), reps),
+            checkpoint.manifest_path, checkpoint.checkpoint_every);
+    }
 
     // Queue every (point, replica) pair upfront on one pool: replicas of a
     // slow grid point overlap with replicas of fast ones, so workers never
@@ -501,6 +461,7 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
         std::rethrow_exception(first_error);
     }
     result.wall_seconds = clock.seconds();
+    result.replayed = replayed;
     return result;
 }
 

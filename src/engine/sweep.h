@@ -110,6 +110,7 @@ struct sweep_row {
 struct sweep_result {
     std::vector<sweep_row> rows;  ///< expansion order
     double wall_seconds = 0.0;    ///< driver wall-clock (parallel) time
+    std::size_t replayed = 0;     ///< replicas replayed from the checkpoint ledger
 };
 
 /// Checkpoint/restart controls for run_sweep (the machinery lives in

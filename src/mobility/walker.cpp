@@ -17,15 +17,15 @@ walker::walker(std::shared_ptr<const mobility_model> model, std::size_t n, doubl
     if (speed < 0.0) {
         throw std::invalid_argument("walker: speed must be non-negative");
     }
-    soa_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    soa_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {  // draws in ascending id
         if (start == start_mode::stationary) {
-            soa_.set(i, model_->stationary_state(gen_));
+            soa_.push_back(model_->stationary_state(gen_));
         } else {
             trip_state s;
             s.pos = {gen_.uniform(0.0, model_->side()), gen_.uniform(0.0, model_->side())};
             model_->begin_trip(s, gen_);
-            soa_.set(i, s);
+            soa_.push_back(s);
         }
     }
     turn_counts_.assign(n, 0);

@@ -1,20 +1,28 @@
 #include "mobility/walker_soa.h"
 
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 namespace manhattan::mobility {
 
-void walker_soa::resize(std::size_t n) {
-    pos_.resize(n);
-    way_.resize(n);
-    dest_.resize(n);
-    leg_.resize(n, 1);
-    id_of_.resize(n);
-    std::iota(id_of_.begin(), id_of_.end(), 0u);
-    slot_of_ = id_of_;
+void walker_soa::reserve(std::size_t n) {
+    pos_.reserve(n);
+    way_.reserve(n);
+    dest_.reserve(n);
+    leg_.reserve(n);
+    id_of_.reserve(n);
+    slot_of_.reserve(n);
+}
+
+void walker_soa::push_back(const trip_state& s) {
+    const auto id = static_cast<std::uint32_t>(pos_.size());
+    pos_.push_back(s.pos);
+    way_.push_back(s.waypoint);
+    dest_.push_back(s.dest);
+    leg_.push_back(s.leg);
+    id_of_.push_back(id);
+    slot_of_.push_back(id);
 }
 
 void walker_soa::reorder(std::span<const std::uint32_t> ids,

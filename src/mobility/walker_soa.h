@@ -40,8 +40,10 @@ namespace manhattan::mobility {
 /// the slot <-> id maps.
 class walker_soa {
  public:
-    /// n agents in the identity order (slot i holds agent i).
-    void resize(std::size_t n);
+    /// Room for \p n agents, so construction writes each field once.
+    void reserve(std::size_t n);
+    /// Append agent size() in slot size(), keeping the identity order.
+    void push_back(const trip_state& s);
 
     [[nodiscard]] std::size_t size() const noexcept { return pos_.size(); }
 

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <optional>
 
@@ -270,28 +269,6 @@ void daemon::accept_loop() {
     stopping_.store(true, std::memory_order_relaxed);
 }
 
-namespace {
-
-/// Count the replicas a work-dir ledger already holds (crash recovery): the
-/// resumed run computes only the rest. Unreadable / foreign ledgers count 0
-/// — run_sweep's own validation decides what to do with them.
-std::size_t recorded_replicas(const std::string& path, std::uint64_t fingerprint) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return 0;
-    }
-    try {
-        const std::string text{std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()};
-        const engine::run_manifest manifest = engine::parse_manifest(text);
-        return manifest.fingerprint == fingerprint ? manifest.records.size() : 0;
-    } catch (const std::exception&) {
-        return 0;
-    }
-}
-
-}  // namespace
-
 void daemon::handle_connection(int fd) {
     line_reader reader(fd);
     while (true) {
@@ -454,24 +431,25 @@ void daemon::handle_submit(int fd, const json_value& request) {
     }
 
     try {
-        const std::size_t total = points.size() * spec.repetitions;
-        std::size_t fresh = total;
+        std::size_t fresh = points.size() * spec.repetitions;
         stream_sink rows(fd, job);
-        engine::run_manifest manifest;
+        engine::result_sink* sinks[] = {&rows};
+        engine::run_options opts;
+        opts.pool = pool_.get();
         if (!config_.fabric_root.empty()) {
-            manifest = run_on_fabric(spec, rows);
-            fresh = total;  // fabric workers share the tally; report the grid
+            // One fabric directory per job: this daemon drains it and
+            // external sweepd workers may join in. They share the tally, so
+            // the whole grid is reported fresh.
+            engine::fabric_options fabric;
+            fabric.dir = config_.fabric_root + "/job-" + job;
+            fabric.owner = "daemon";
+            cache_.store(engine::drain_fabric(spec, 8, fabric, opts, sinks).manifest);
         } else {
+            // A crash ledger left in work_dir resumes at the replica boundary;
+            // only the replicas it lacks are fresh.
             const std::string work = config_.work_dir + "/" + job + ".manifest";
-            fresh = total - recorded_replicas(work, fp);  // crash-resume delta
-            engine::run_options opts;
-            opts.pool = pool_.get();
-            engine::checkpoint_options checkpoint;
-            checkpoint.manifest_path = work;
-            engine::result_sink* sink = &rows;
-            (void)engine::run_sweep(spec, opts, {&sink, 1}, checkpoint);
-            manifest = engine::load_manifest(work);
-            cache_.store(manifest);
+            fresh -= engine::run_sweep(spec, opts, sinks, {.manifest_path = work}).replayed;
+            cache_.store(engine::load_manifest(work));
             std::error_code ec;
             fs::remove(work, ec);  // promoted to the cache; the ledger is spent
         }
@@ -497,36 +475,6 @@ void daemon::handle_submit(int fd, const json_value& request) {
     }
 }
 
-engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
-                                           engine::result_sink& sink) {
-    const std::uint64_t fp = engine::sweep_fingerprint(spec);
-    const std::string dir = config_.fabric_root + "/job-" + engine::fingerprint_hex(fp);
-    const engine::fabric_spec fspec = engine::init_fabric(dir, spec, 8);
-    engine::fabric_options fopts;
-    fopts.dir = dir;
-    fopts.owner = "daemon";
-    engine::run_options ropts;
-    ropts.pool = pool_.get();
-    const engine::fabric_report report = engine::run_fabric_worker(fopts, ropts);
-    if (!report.complete) {
-        throw engine::fabric_partial("fabric job '" + dir +
-                                     "' stopped before full coverage");
-    }
-    const engine::fabric_merge merged = engine::merge_fabric(dir, fspec);
-    if (!merged.complete()) {
-        throw engine::fabric_partial("fabric job '" + dir +
-                                     "' left quarantined or missing replicas");
-    }
-    engine::run_manifest manifest = merged.manifest;
-    manifest.fingerprint = fspec.fingerprint;
-    manifest.points = fspec.points.size();
-    manifest.repetitions = fspec.repetitions;
-    engine::result_sink* sinks[] = {&sink};
-    engine::replay_rows(fspec, merged, sinks);
-    cache_.store(manifest);
-    return manifest;
-}
-
 void daemon::handle_status(int fd, const json_value& request) {
     const std::string job = str_field(request, "job");
     std::string status = "unknown";
@@ -542,9 +490,7 @@ void daemon::handle_status(int fd, const json_value& request) {
     }
     if (status == "unknown" && job.size() == 16) {
         try {
-            const std::uint64_t fp = std::stoull(job, nullptr, 16);
-            std::ifstream probe(cache_.entry_path(fp));
-            if (probe.good()) {
+            if (fs::exists(cache_.entry_path(std::stoull(job, nullptr, 16)))) {
                 status = "cached";
             }
         } catch (const std::exception&) {

@@ -95,18 +95,11 @@ class daemon {
     void handle_cancel(int fd, const json_value& request);
     void handle_stats(int fd);
 
-    /// Stream every row of a completed manifest (cache hit / fabric merge)
-    /// and the trailing done event. Zero pool tasks by construction.
+    /// Stream every row of a cached manifest and the trailing done event. Zero pool tasks by construction.
     void serve_manifest(int fd, const std::string& job,
                         const std::vector<engine::sweep_point>& points,
                         std::size_t repetitions, engine::run_manifest manifest,
                         bool cached);
-
-    /// Run one job through a per-job fabric directory under fabric_root (this
-    /// daemon drains it too; external sweepd workers may join). Streams rows
-    /// to \p sink, caches, and returns the merged manifest.
-    engine::run_manifest run_on_fabric(const engine::sweep_spec& spec,
-                                       engine::result_sink& sink);
 
     daemon_config config_;
     engine::metrics_registry metrics_;

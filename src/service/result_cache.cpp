@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <system_error>
 #include <vector>
@@ -41,20 +39,17 @@ void bump(engine::counter* c) {
 
 std::optional<engine::run_manifest> result_cache::load(std::uint64_t fingerprint) {
     const std::string path = entry_path(fingerprint);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> text = engine::read_file(path);
+    if (!text) {
         bump(misses_);
         return std::nullopt;
     }
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
-    in.close();
     // Re-verify on every read: the parse catches truncation (trailing count
     // line) and corrupt fields, the fingerprint check catches a renamed or
     // cross-linked entry, complete() catches a partial ledger that must
     // never masquerade as a finished sweep.
     try {
-        engine::run_manifest manifest = engine::parse_manifest(text);
+        engine::run_manifest manifest = engine::parse_manifest(*text);
         if (manifest.fingerprint != fingerprint || !manifest.complete()) {
             throw engine::manifest_error("cache entry does not match its key");
         }

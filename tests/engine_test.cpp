@@ -167,9 +167,6 @@ TEST(runner_test, results_bit_identical_across_thread_counts) {
     ASSERT_EQ(t1.size(), kReps);
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t8);
-    // And the chunk size must not matter either.
-    const auto chunked = engine::flooding_times(sc, kReps, {.threads = 3, .chunk = 4});
-    EXPECT_EQ(t1, chunked);
 }
 
 TEST(runner_test, outcomes_match_serial_run_scenario) {

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "engine/fabric.h"
 #include "engine/manifest.h"
@@ -302,6 +303,8 @@ TEST(manifest_test, resume_of_a_complete_manifest_is_a_pure_replay) {
                                          {.manifest_path = file.path()});
     const auto replayed = engine::run_sweep(spec, {.threads = 2}, {},
                                             {.manifest_path = file.path()});
+    EXPECT_EQ(first.replayed, 0u);
+    EXPECT_EQ(replayed.replayed, 6u);  // every replica came from the ledger
     ASSERT_EQ(replayed.rows.size(), first.rows.size());
     for (std::size_t p = 0; p < first.rows.size(); ++p) {
         EXPECT_EQ(replayed.rows[p].times, first.rows[p].times);
@@ -354,6 +357,24 @@ TEST(manifest_test, mismatch_diagnostic_carries_both_digests) {
             engine::fingerprint_hex(engine::sweep_fingerprint(edited));
         EXPECT_NE(what.find(ledger), std::string::npos) << what;
         EXPECT_NE(what.find(ours), std::string::npos) << what;
+    }
+}
+
+TEST(manifest_test, open_manifest_starts_an_absent_ledger_and_rejects_a_foreign_one) {
+    scratch_file file("open.manifest");
+    EXPECT_FALSE(engine::read_file(file.path()));
+    const engine::run_manifest fresh = engine::open_manifest(file.path(), 0xabcULL, 2, 3);
+    EXPECT_EQ(fresh, (engine::run_manifest{0xabcULL, 2, 3, {}}));
+    EXPECT_FALSE(file.exists());  // opening never writes
+
+    engine::save_manifest(fresh, file.path());
+    EXPECT_EQ(engine::read_file(file.path()), engine::serialize_manifest(fresh));
+    EXPECT_EQ(engine::open_manifest(file.path(), 0xabcULL, 2, 3), fresh);
+    for (const auto& [fp, points, reps] :
+         {std::tuple{0xabdULL, 2, 3}, std::tuple{0xabcULL, 1, 3}, std::tuple{0xabcULL, 2, 4}}) {
+        EXPECT_FALSE(fresh.matches(fp, points, reps));
+        EXPECT_THROW((void)engine::open_manifest(file.path(), fp, points, reps),
+                     engine::manifest_error);
     }
 }
 

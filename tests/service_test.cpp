@@ -4,8 +4,8 @@
 // slots, cancellation), and the daemon end-to-end over a real AF_UNIX socket:
 // byte-identical streamed rows vs a direct run_sweep, the cache-hit replay
 // with zero fresh pool tasks, the in-flight dedup rendezvous, busy shedding,
-// queued-job cancellation, crash-ledger resume, and the reaping of finished
-// connections. The wire format itself is covered by wire_test.
+// queued-job cancellation, crash-ledger resume, jobs farmed to a fabric
+// root, and the reaping of finished connections. The wire format itself is covered by wire_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -463,6 +463,31 @@ TEST(service_test, daemon_resumes_a_crash_ledger_at_the_replica_boundary) {
     service::submit_outcome again;
     EXPECT_EQ(submit_csv(config.socket_path, spec, again), reference_csv());
     EXPECT_TRUE(again.cached);
+    d.stop();
+}
+
+TEST(service_test, daemon_on_a_fabric_root_serves_byte_identical_rows_then_hits_the_cache) {
+    scratch_dir dir("fabric");
+    service::daemon_config config = daemon_config_for(dir);
+    config.fabric_root = dir.path() + "/fabric";
+    service::daemon d(config);
+    d.start();
+
+    // Cold: the job drains through its own fabric directory, and the rows
+    // merged from it are byte-identical to a local run_sweep.
+    const engine::sweep_spec spec = small_spec();
+    service::submit_outcome cold;
+    EXPECT_EQ(submit_csv(config.socket_path, spec, cold), reference_csv());
+    EXPECT_FALSE(cold.cached);
+    EXPECT_EQ(cold.rows, 2u);
+    EXPECT_EQ(cold.fresh_replicas, 4u);
+    EXPECT_TRUE(fs::exists(config.fabric_root + "/job-" + job_hex(spec) + "/sweep.spec"));
+
+    // Warm: the merged ledger was cached, so a resubmit replays it.
+    service::submit_outcome warm;
+    EXPECT_EQ(submit_csv(config.socket_path, spec, warm), reference_csv());
+    EXPECT_TRUE(warm.cached);
+    EXPECT_EQ(warm.fresh_replicas, 0u);
     d.stop();
 }
 

@@ -191,6 +191,29 @@ TEST(storage_order, grid_reports_the_supplied_ids) {
     EXPECT_EQ(grid.query({9.0, 9.0}, 0.5), (std::vector<std::uint32_t>{3}));
 }
 
+// The grid's counting sort is stable, so two simulations whose walkers start
+// in different storage orders keep different in-bucket orders for the whole
+// run. The scan sorts each (transmitter, bucket) run of discoveries by id;
+// that alone keeps the discovery order, and the gossip coins and component
+// merges it feeds, independent of the storage order.
+TEST(storage_order, spread_results_ignore_the_initial_storage_order) {
+    const auto model = mobility::make_model(mobility::model_kind::mrwp, kSide);
+    std::mt19937_64 shuffle(13);
+    for (const core::propagation mode : {core::propagation::one_hop, core::propagation::gossip,
+                                         core::propagation::per_component}) {
+        core::spread_config cfg;
+        cfg.max_steps = 2'000;
+        cfg.spread.messages.push_back(
+            {.sources = core::source_spec::agents({0}), .mode = mode, .gossip_p = 0.5});
+        mobility::walker shuffled(model, kAgents, kSpeed, rng{31});
+        reorder_randomly(shuffled, shuffle);
+        core::flooding_sim plain(mobility::walker(model, kAgents, kSpeed, rng{31}), 3.0, cfg);
+        core::flooding_sim reordered(std::move(shuffled), 3.0, cfg);
+        EXPECT_EQ(reordered.run_spread(), plain.run_spread())
+            << "mode " << static_cast<int>(mode);
+    }
+}
+
 TEST(storage_order, frames_of_a_resorting_simulation_match_an_unsorted_twin) {
     const auto model = mobility::make_model(mobility::model_kind::mrwp, kSide);
     mobility::walker twin(model, kAgents, kSpeed, rng{21});
