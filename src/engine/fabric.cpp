@@ -797,35 +797,7 @@ void fabric_merge::require_complete(const std::string& dir) const {
 
 std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
                         std::span<result_sink* const> sinks, bool allow_partial) {
-    const std::size_t reps = spec.repetitions;
-    const auto table = merged.manifest.by_point();
-    std::size_t rows = 0;
-    for (std::size_t p = 0; p < spec.points.size(); ++p) {
-        std::vector<replica_stat> stats;
-        stats.reserve(reps);
-        for (std::size_t r = 0; r < reps; ++r) {
-            if (table[p][r] == nullptr) {
-                break;
-            }
-            stats.push_back(table[p][r]->stat);
-        }
-        if (stats.size() != reps) {
-            if (allow_partial) {
-                continue;
-            }
-            throw error(errc::state,
-                        "fabric: point " + std::to_string(p) + " ('" +
-                            spec.points[p].label + "') is incomplete (" +
-                            std::to_string(stats.size()) + "/" + std::to_string(reps) +
-                            " replicas) — rerun the workers or pass allow_partial");
-        }
-        const sweep_row row = aggregate_sweep_row(spec.points[p], stats);
-        for (result_sink* sink : sinks) {
-            sink->on_row(row);
-        }
-        ++rows;
-    }
-    return rows;
+    return replay_rows(spec.points, spec.repetitions, merged.manifest, sinks, allow_partial);
 }
 
 fabric_merge drain_fabric(const sweep_spec& spec, std::size_t batch,

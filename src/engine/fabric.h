@@ -179,11 +179,10 @@ struct fabric_merge {
 /// never-recorded pairs are reported, not errors.
 [[nodiscard]] fabric_merge merge_fabric(const std::string& dir, const fabric_spec& spec);
 
-/// Re-derive the sweep rows from merged records and stream them to \p sinks
-/// in expansion order — bit-identical to an uninterrupted run_sweep (same
-/// aggregate_sweep_row reduction). Points with missing or quarantined
-/// replicas are skipped when \p allow_partial, otherwise throw
-/// engine::error (class state). Returns the number of rows emitted.
+/// replay_rows (engine/manifest.h) over the spec's points and the merged
+/// records: rows bit-identical to an uninterrupted run_sweep. Points with
+/// missing or quarantined replicas are skipped when \p allow_partial,
+/// otherwise throw engine::error (class state). Returns the rows emitted.
 std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
                         std::span<result_sink* const> sinks, bool allow_partial = false);
 

@@ -12,6 +12,7 @@
 #include "core/scenario.h"
 #include "engine/fault.h"
 #include "engine/scenario_schema.h"
+#include "engine/sweep.h"
 
 namespace manhattan::engine {
 

@@ -30,10 +30,15 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.h"
 #include "engine/error.h"
-#include "engine/sweep.h"
 
 namespace manhattan::engine {
+
+class result_sink;
+struct sweep_point;
+struct sweep_row;
+struct sweep_spec;
 
 /// Raised on a truncated, corrupt or mismatched manifest (or other text
 /// state file: a fabric spec, a ledger). A state error in the engine
@@ -288,6 +293,17 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
 /// (stats must be in replica order, one per repetition).
 [[nodiscard]] sweep_row aggregate_sweep_row(const sweep_point& point,
                                             std::span<const replica_stat> stats);
+
+/// Re-derive the rows of the sweep over \p points x \p repetitions from the
+/// records of \p manifest and stream them to \p sinks in expansion order —
+/// bit-identical to the run_sweep that recorded them (same
+/// aggregate_sweep_row reduction, zero simulation). Points with missing
+/// replicas are skipped when \p allow_partial, otherwise throw
+/// engine::error (class state). Returns the number of rows emitted. The
+/// daemon's cache hits, the fabric merge and sweep-merge replay through here.
+std::size_t replay_rows(std::span<const sweep_point> points, std::size_t repetitions,
+                        const run_manifest& manifest, std::span<result_sink* const> sinks,
+                        bool allow_partial = false);
 
 /// Thread-safe checkpoint writer for one run_sweep call: workers record()
 /// replicas as they complete, and every `checkpoint_every` fresh records the

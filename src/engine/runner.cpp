@@ -14,11 +14,12 @@ std::vector<std::uint64_t> replica_seeds(std::uint64_t base_seed, std::size_t co
     return seeds;
 }
 
-std::vector<core::scenario_outcome> run_replicas(thread_pool& pool,
-                                                 const core::scenario& base,
-                                                 std::size_t repetitions) {
+std::vector<core::scenario_outcome> run_replicas(const core::scenario& base,
+                                                 std::size_t repetitions,
+                                                 const run_options& opts) {
     const auto seeds = replica_seeds(base.seed, repetitions);
     std::vector<core::scenario_outcome> outcomes(repetitions);
+    thread_pool pool(opts.threads);
     pool.parallel_for(
         repetitions,
         [&](std::size_t r) {
@@ -28,13 +29,6 @@ std::vector<core::scenario_outcome> run_replicas(thread_pool& pool,
         },
         1);
     return outcomes;
-}
-
-std::vector<core::scenario_outcome> run_replicas(const core::scenario& base,
-                                                 std::size_t repetitions,
-                                                 const run_options& opts) {
-    thread_pool pool(opts.threads);
-    return run_replicas(pool, base, repetitions);
 }
 
 std::vector<double> flooding_times(const core::scenario& base, std::size_t repetitions,

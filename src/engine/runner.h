@@ -57,11 +57,6 @@ struct run_options {
 [[nodiscard]] std::vector<core::scenario_outcome> run_replicas(
     const core::scenario& base, std::size_t repetitions, const run_options& opts = {});
 
-/// Same, on a caller-owned pool (the sweep driver reuses one pool across
-/// every grid point instead of respawning workers per row).
-[[nodiscard]] std::vector<core::scenario_outcome> run_replicas(
-    thread_pool& pool, const core::scenario& base, std::size_t repetitions);
-
 /// Flooding times (steps) of \p repetitions replicas — the parallel engine
 /// behind core::flooding_times. Incomplete runs contribute max_steps.
 [[nodiscard]] std::vector<double> flooding_times(const core::scenario& base,

@@ -258,12 +258,43 @@ sweep_row aggregate_sweep_row(const sweep_point& point,
     return row;
 }
 
+std::size_t replay_rows(std::span<const sweep_point> points, std::size_t repetitions,
+                        const run_manifest& manifest, std::span<result_sink* const> sinks,
+                        bool allow_partial) {
+    const auto table = manifest.by_point();
+    std::size_t rows = 0;
+    std::vector<replica_stat> stats;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        stats.clear();
+        for (std::size_t r = 0; r < repetitions && table[p][r] != nullptr; ++r) {
+            stats.push_back(table[p][r]->stat);
+        }
+        if (stats.size() != repetitions) {
+            if (allow_partial) {
+                continue;
+            }
+            throw error(errc::state,
+                        "fabric: point " + std::to_string(p) + " ('" + points[p].label +
+                            "') is incomplete (" + std::to_string(stats.size()) + "/" +
+                            std::to_string(repetitions) +
+                            " replicas) — rerun the workers or pass allow_partial");
+        }
+        const sweep_row row = aggregate_sweep_row(points[p], stats);
+        for (result_sink* sink : sinks) {
+            sink->on_row(row);
+        }
+        ++rows;
+    }
+    return rows;
+}
+
 sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
                        std::span<result_sink* const> sinks,
                        const checkpoint_options& checkpoint) {
     const util::timer clock;
     const auto points = spec.expand();
     const std::size_t reps = spec.repetitions;
+    const std::uint64_t fingerprint = sweep_fingerprint(points, reps);
 
     trace_sink* const trace = opts.trace;
     progress_reporter* const progress = opts.progress;
@@ -276,8 +307,7 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
     std::unique_ptr<checkpoint_ledger> ledger;
     if (!checkpoint.manifest_path.empty()) {
         ledger = std::make_unique<checkpoint_ledger>(
-            open_manifest(checkpoint.manifest_path, sweep_fingerprint(points, reps),
-                          points.size(), reps),
+            open_manifest(checkpoint.manifest_path, fingerprint, points.size(), reps),
             checkpoint.manifest_path, checkpoint.checkpoint_every);
     }
 
@@ -320,8 +350,7 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
     if (trace != nullptr) {
         trace->emit("sweep_begin",
                     {trace_field::num("sweep", sweep_id),
-                     trace_field::str("fingerprint",
-                                      std::to_string(sweep_fingerprint(points, reps))),
+                     trace_field::str("fingerprint", std::to_string(fingerprint)),
                      trace_field::num("points", points.size()),
                      trace_field::num("repetitions", reps),
                      trace_field::num("replicas", points.size() * reps),
@@ -387,6 +416,10 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
     // in its CSV/JSON files. Point p+1 keeps computing while p streams.
     sweep_result result;
     result.rows.reserve(points.size());
+    result.manifest.fingerprint = fingerprint;
+    result.manifest.points = points.size();
+    result.manifest.repetitions = reps;
+    result.manifest.records.reserve(points.size() * reps);
     std::exception_ptr first_error;
     for (std::size_t p = 0; p < points.size(); ++p) {
         for (auto& f : pending[p]) {
@@ -424,6 +457,10 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
             progress->point_done();
         }
         result.rows.push_back(std::move(row));
+        // The row is out: the point's stats move into the returned ledger.
+        for (std::size_t r = 0; r < reps; ++r) {
+            result.manifest.records.push_back({p, r, std::move(replica_stats[p][r])});
+        }
     }
     if (ledger != nullptr) {
         // Final publish — also on the error path, so completed replicas

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "engine/manifest.h"
 #include "engine/runner.h"
 #include "stats/bootstrap.h"
 #include "stats/summary.h"
@@ -111,6 +112,13 @@ struct sweep_result {
     std::vector<sweep_row> rows;  ///< expansion order
     double wall_seconds = 0.0;    ///< driver wall-clock (parallel) time
     std::size_t replayed = 0;     ///< replicas replayed from the checkpoint ledger
+
+    /// The sweep's complete ledger: its fingerprint and one record per
+    /// (point, replica), point-major and replica-minor (the layout
+    /// fabric_merge::manifest uses). Replayed replicas keep their ledger
+    /// values, wall_seconds included, so replay_rows over it reproduces
+    /// `rows` bit-identically — the daemon caches exactly this.
+    run_manifest manifest;
 };
 
 /// Checkpoint/restart controls for run_sweep (the machinery lives in

@@ -35,6 +35,7 @@ client::client(const std::string& socket_path) {
                             "client: cannot connect to '" + socket_path + "': " + what,
                             true);
     }
+    reader_ = line_reader(fd_);
 }
 
 client::~client() {
@@ -44,41 +45,17 @@ client::~client() {
 }
 
 void client::send(const json_value& v) {
-    std::string line = dump(v);
-    line += '\n';
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-        const ssize_t n = ::send(fd_, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR) {
-                continue;
-            }
-            throw engine::error(engine::errc::io, "client: send failed (daemon gone?)",
-                                true);
-        }
-        sent += static_cast<std::size_t>(n);
+    if (!send_line(fd_, v)) {
+        throw engine::error(engine::errc::io, "client: send failed (daemon gone?)", true);
     }
 }
 
 json_value client::read_response() {
-    while (true) {
-        const std::size_t pos = buffer_.find('\n');
-        if (pos != std::string::npos) {
-            const std::string line = buffer_.substr(0, pos);
-            buffer_.erase(0, pos + 1);
-            return parse_json(line);
-        }
-        char chunk[4096];
-        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n < 0 && errno == EINTR) {
-            continue;
-        }
-        if (n <= 0) {
-            throw engine::error(engine::errc::io,
-                                "client: connection closed mid-response", true);
-        }
-        buffer_.append(chunk, static_cast<std::size_t>(n));
+    const std::optional<std::string> line = reader_.next();
+    if (!line) {
+        throw engine::error(engine::errc::io, "client: connection closed mid-response", true);
     }
+    return parse_json(*line);
 }
 
 void client::raise(const json_value& response) {

@@ -57,7 +57,7 @@ class client {
     [[noreturn]] static void raise(const json_value& response);
 
     int fd_ = -1;
-    std::string buffer_;
+    line_reader reader_;
 };
 
 }  // namespace manhattan::service

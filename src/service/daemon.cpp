@@ -23,55 +23,18 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Write one protocol line (dump + '\n'). Returns false on a dead peer —
-/// the caller decides whether that aborts anything (it never aborts a job:
-/// computed work is cached even when nobody is left listening).
-bool send_line(int fd, const json_value& v) {
-    std::string line = dump(v);
-    line += '\n';
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-        const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
+/// The event that ends every completed submit: the rows streamed, whether
+/// they came from the cache, and how many replicas were computed anew.
+void send_done(int fd, const std::string& job, std::size_t rows, bool cached,
+               std::size_t fresh) {
+    json_value done = json_value::object();
+    done.set("event", json_value::string("done"));
+    done.set("job", json_value::string(job));
+    done.set("rows", json_value::integer(rows));
+    done.set("cached", json_value::boolean(cached));
+    done.set("fresh_replicas", json_value::integer(fresh));
+    send_line(fd, done);
 }
-
-/// Newline-framed reader. Returns std::nullopt on EOF / reset.
-class line_reader {
- public:
-    explicit line_reader(int fd) : fd_(fd) {}
-
-    std::optional<std::string> next() {
-        while (true) {
-            const std::size_t pos = buffer_.find('\n');
-            if (pos != std::string::npos) {
-                std::string line = buffer_.substr(0, pos);
-                buffer_.erase(0, pos + 1);
-                return line;
-            }
-            char chunk[4096];
-            const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-            if (n < 0 && errno == EINTR) {
-                continue;
-            }
-            if (n <= 0) {
-                return std::nullopt;
-            }
-            buffer_.append(chunk, static_cast<std::size_t>(n));
-        }
-    }
-
- private:
-    int fd_;
-    std::string buffer_;
-};
 
 json_value error_response(const std::string& op, const char* cls,
                           const std::string& message) {
@@ -317,32 +280,6 @@ void daemon::handle_connection(int fd) {
     }
 }
 
-void daemon::serve_manifest(int fd, const std::string& job,
-                            const std::vector<engine::sweep_point>& points,
-                            std::size_t repetitions,
-                            engine::run_manifest manifest, bool cached) {
-    // Re-derive the rows through the fabric replay path: the exact
-    // aggregate_sweep_row reduction run_sweep performs, with zero pool tasks
-    // by construction.
-    engine::fabric_spec spec;
-    spec.fingerprint = manifest.fingerprint;
-    spec.repetitions = repetitions;
-    spec.batch = 1;
-    spec.points = points;
-    engine::fabric_merge merged;
-    merged.manifest = std::move(manifest);
-    stream_sink rows(fd, job);
-    engine::result_sink* sink = &rows;
-    engine::replay_rows(spec, merged, {&sink, 1});
-    json_value done = json_value::object();
-    done.set("event", json_value::string("done"));
-    done.set("job", json_value::string(job));
-    done.set("rows", json_value::integer(rows.rows()));
-    done.set("cached", json_value::boolean(cached));
-    done.set("fresh_replicas", json_value::integer(0));
-    send_line(fd, done);
-}
-
 void daemon::handle_submit(int fd, const json_value& request) {
     const engine::sweep_spec spec = decode_sweep_spec(require(request, "spec"));
     const std::string client = [&] {
@@ -365,10 +302,24 @@ void daemon::handle_submit(int fd, const json_value& request) {
         send_line(fd, v);
     };
 
+    // The one cache-hit path: when the cache holds this sweep, run \p on_hit,
+    // replay every row from the cached manifest and end with the done event
+    // — zero pool tasks by construction.
+    const auto serve_cached = [&](const auto& on_hit) {
+        const std::optional<engine::run_manifest> hit = cache_.load(fp);
+        if (!hit) {
+            return false;
+        }
+        on_hit();
+        stream_sink rows(fd, job);
+        engine::result_sink* sink = &rows;
+        engine::replay_rows(points, spec.repetitions, *hit, {&sink, 1});
+        send_done(fd, job, rows.rows(), true, 0);
+        return true;
+    };
+
     // Fast path: already memoized — serve without consuming admission.
-    if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
-        send_header(true);
-        serve_manifest(fd, job, points, spec.repetitions, std::move(*hit), true);
+    if (serve_cached([&] { send_header(true); })) {
         return;
     }
 
@@ -384,9 +335,7 @@ void daemon::handle_submit(int fd, const json_value& request) {
             std::unique_lock lock(live->m);
             live->cv.wait(lock, [&] { return live->finished; });
         }
-        if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
-            send_header(true);
-            serve_manifest(fd, job, points, spec.repetitions, std::move(*hit), true);
+        if (serve_cached([&] { send_header(true); })) {
             return;
         }
         // The in-flight twin was cancelled or failed: fall through and run.
@@ -423,10 +372,10 @@ void daemon::handle_submit(int fd, const json_value& request) {
 
     // Between admission and the run slot another connection may have
     // completed the same sweep; one more probe keeps the work done once.
-    if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
-        state->transition("done", true);
-        unregister();
-        serve_manifest(fd, job, points, spec.repetitions, std::move(*hit), true);
+    if (serve_cached([&] {
+            state->transition("done", true);
+            unregister();
+        })) {
         return;
     }
 
@@ -448,20 +397,16 @@ void daemon::handle_submit(int fd, const json_value& request) {
             // A crash ledger left in work_dir resumes at the replica boundary;
             // only the replicas it lacks are fresh.
             const std::string work = config_.work_dir + "/" + job + ".manifest";
-            fresh -= engine::run_sweep(spec, opts, sinks, {.manifest_path = work}).replayed;
-            cache_.store(engine::load_manifest(work));
+            const engine::sweep_result result =
+                engine::run_sweep(spec, opts, sinks, {.manifest_path = work});
+            fresh -= result.replayed;
+            cache_.store(result.manifest);
             std::error_code ec;
             fs::remove(work, ec);  // promoted to the cache; the ledger is spent
         }
         state->transition("done", true);
         unregister();
-        json_value done = json_value::object();
-        done.set("event", json_value::string("done"));
-        done.set("job", json_value::string(job));
-        done.set("rows", json_value::integer(rows.rows()));
-        done.set("cached", json_value::boolean(false));
-        done.set("fresh_replicas", json_value::integer(fresh));
-        send_line(fd, done);
+        send_done(fd, job, rows.rows(), false, fresh);
     } catch (const std::exception& e) {
         state->transition("error", true);
         unregister();

@@ -30,7 +30,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "engine/metrics.h"
 #include "engine/thread_pool.h"
@@ -94,12 +93,6 @@ class daemon {
     void handle_status(int fd, const json_value& request);
     void handle_cancel(int fd, const json_value& request);
     void handle_stats(int fd);
-
-    /// Stream every row of a cached manifest and the trailing done event. Zero pool tasks by construction.
-    void serve_manifest(int fd, const std::string& job,
-                        const std::vector<engine::sweep_point>& points,
-                        std::size_t repetitions, engine::run_manifest manifest,
-                        bool cached);
 
     daemon_config config_;
     engine::metrics_registry metrics_;

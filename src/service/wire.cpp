@@ -1,7 +1,10 @@
 #include "service/wire.h"
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -810,6 +813,48 @@ engine::sweep_row decode_sweep_row(const json_value& v) {
     json_reader reader(v);
     visit_sweep_row(row, reader);
     return row;
+}
+
+// ----------------------------------------------------------------- framing --
+
+bool send_line(int fd, const json_value& v) {
+    std::string line = dump(v);
+    line += '\n';
+    std::size_t sent = 0;
+    while (sent < line.size()) {
+        const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0) {
+            if (n < 0 && errno == EINTR) {
+                continue;
+            }
+            return false;
+        }
+        sent += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+std::optional<std::string> line_reader::next() {
+    while (true) {
+        const std::size_t end = buffer_.find('\n', scanned_);
+        if (end != std::string::npos) {
+            std::string line = buffer_.substr(begin_, end - begin_);
+            begin_ = scanned_ = end + 1;
+            return line;
+        }
+        buffer_.erase(0, begin_);  // only the unterminated tail survives
+        begin_ = 0;
+        scanned_ = buffer_.size();
+        char chunk[1 << 16];
+        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        if (n <= 0) {
+            return std::nullopt;
+        }
+        buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
 }
 
 }  // namespace manhattan::service

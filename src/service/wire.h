@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,5 +104,32 @@ struct json_value {
 
 [[nodiscard]] json_value encode_sweep_row(const engine::sweep_row& row);
 [[nodiscard]] engine::sweep_row decode_sweep_row(const json_value& v);
+
+// ----------------------------------------------------------------- framing --
+// One protocol line per document over a stream socket; the daemon and the
+// client share both halves.
+
+/// Write dump(v) + '\n' to \p fd, riding out short writes and EINTR (no
+/// SIGPIPE). Returns false when the peer is gone; the caller decides what
+/// that means (the daemon keeps running the job, the client throws).
+bool send_line(int fd, const json_value& v);
+
+/// Newline-framed reader over \p fd. Each received byte is searched for the
+/// delimiter once and consumed lines are dropped once per recv, so a line
+/// costs time linear in its length however many recv calls it spans.
+class line_reader {
+ public:
+    explicit line_reader(int fd = -1) : fd_(fd) {}
+
+    /// The next line without its '\n' (possibly empty), or nullopt on EOF
+    /// or a reset connection — a partial last line is dropped.
+    [[nodiscard]] std::optional<std::string> next();
+
+ private:
+    int fd_;
+    std::string buffer_;
+    std::size_t begin_ = 0;    ///< first byte of the next line in buffer_
+    std::size_t scanned_ = 0;  ///< buffer_[begin_, scanned_) holds no '\n'
+};
 
 }  // namespace manhattan::service

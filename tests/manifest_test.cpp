@@ -236,10 +236,43 @@ TEST(manifest_test, ledger_publishes_every_k_records_and_on_flush) {
 
 // ------------------------------------------------------- checkpointed sweep ---
 
+/// The ledger run_sweep hands back agrees with the one it published to
+/// \p path on every (point, replica) record, wall_seconds included — only
+/// the record order may differ (point-major vs completion order).
+void expect_returned_ledger_matches_file(const engine::run_manifest& returned,
+                                         const std::string& path) {
+    const engine::run_manifest on_disk = engine::load_manifest(path);
+    EXPECT_TRUE(returned.matches(on_disk.fingerprint, on_disk.points, on_disk.repetitions));
+    const auto mine = returned.by_point();
+    const auto theirs = on_disk.by_point();
+    ASSERT_EQ(mine.size(), theirs.size());
+    for (std::size_t p = 0; p < mine.size(); ++p) {
+        for (std::size_t r = 0; r < mine[p].size(); ++r) {
+            ASSERT_NE(mine[p][r], nullptr);
+            ASSERT_NE(theirs[p][r], nullptr);
+            EXPECT_EQ(*mine[p][r], *theirs[p][r]) << "point " << p << " replica " << r;
+        }
+    }
+}
+
+/// Rows replayed from \p manifest (the points form of replay_rows), as CSV.
+std::string replayed_csv(const engine::sweep_spec& spec,
+                         const engine::run_manifest& manifest) {
+    const auto points = spec.expand();
+    std::ostringstream out;
+    engine::csv_sink sink(out);
+    engine::result_sink* sinks[] = {&sink};
+    EXPECT_EQ(engine::replay_rows(points, spec.repetitions, manifest, sinks), points.size());
+    return out.str();
+}
+
 TEST(manifest_test, checkpointed_sweep_writes_a_complete_manifest) {
     scratch_file file("sweep.manifest");
     const auto spec = small_spec();
-    const auto result = engine::run_sweep(spec, {.threads = 2}, {},
+    std::ostringstream csv;
+    engine::csv_sink csv_rows(csv);
+    engine::result_sink* sinks[] = {&csv_rows};
+    const auto result = engine::run_sweep(spec, {.threads = 2}, sinks,
                                           {.manifest_path = file.path()});
     ASSERT_EQ(result.rows.size(), 2u);
     const auto manifest = engine::load_manifest(file.path());
@@ -247,6 +280,9 @@ TEST(manifest_test, checkpointed_sweep_writes_a_complete_manifest) {
     EXPECT_EQ(manifest.points, 2u);
     EXPECT_EQ(manifest.repetitions, 3u);
     EXPECT_TRUE(manifest.complete());
+    EXPECT_TRUE(result.manifest.complete());
+    expect_returned_ledger_matches_file(result.manifest, file.path());
+    EXPECT_EQ(replayed_csv(spec, result.manifest), csv.str());
 }
 
 TEST(manifest_test, resume_at_replica_boundary_is_bit_identical) {
@@ -282,7 +318,9 @@ TEST(manifest_test, resume_at_replica_boundary_is_bit_identical) {
     // determinism contract makes threads (and intra_threads) wall-only.
     std::ostringstream res_json;
     engine::json_sink res_sink(res_json);
-    engine::result_sink* res_sinks[] = {&res_sink};
+    std::ostringstream res_csv;
+    engine::csv_sink res_csv_sink(res_csv);
+    engine::result_sink* res_sinks[] = {&res_sink, &res_csv_sink};
     const auto resumed = engine::run_sweep(spec, {.threads = 4}, res_sinks,
                                            {.manifest_path = file.path()});
     res_sink.finish();
@@ -292,16 +330,25 @@ TEST(manifest_test, resume_at_replica_boundary_is_bit_identical) {
     for (std::size_t p = 0; p < reference.rows.size(); ++p) {
         EXPECT_EQ(resumed.rows[p].times, reference.rows[p].times);
     }
-    // And the manifest was completed by the resumed run.
+    // And the manifest was completed by the resumed run, which hands back
+    // the same ledger: the two replayed records keep their ledger values.
     EXPECT_TRUE(engine::load_manifest(file.path()).complete());
+    expect_returned_ledger_matches_file(resumed.manifest, file.path());
+    EXPECT_EQ(replayed_csv(spec, resumed.manifest), res_csv.str());
 }
 
 TEST(manifest_test, resume_of_a_complete_manifest_is_a_pure_replay) {
     scratch_file file("replay.manifest");
     const auto spec = small_spec();
-    const auto first = engine::run_sweep(spec, {.threads = 2}, {},
+    std::ostringstream first_csv;
+    engine::csv_sink first_sink(first_csv);
+    engine::result_sink* first_sinks[] = {&first_sink};
+    const auto first = engine::run_sweep(spec, {.threads = 2}, first_sinks,
                                          {.manifest_path = file.path()});
-    const auto replayed = engine::run_sweep(spec, {.threads = 2}, {},
+    std::ostringstream replay_csv;
+    engine::csv_sink replay_sink(replay_csv);
+    engine::result_sink* replay_sinks[] = {&replay_sink};
+    const auto replayed = engine::run_sweep(spec, {.threads = 2}, replay_sinks,
                                             {.manifest_path = file.path()});
     EXPECT_EQ(first.replayed, 0u);
     EXPECT_EQ(replayed.replayed, 6u);  // every replica came from the ledger
@@ -311,6 +358,10 @@ TEST(manifest_test, resume_of_a_complete_manifest_is_a_pure_replay) {
         // Pure replay reproduces even the recorded per-replica wall times.
         EXPECT_DOUBLE_EQ(replayed.rows[p].wall_seconds, first.rows[p].wall_seconds);
     }
+    expect_returned_ledger_matches_file(first.manifest, file.path());
+    expect_returned_ledger_matches_file(replayed.manifest, file.path());
+    EXPECT_EQ(replayed_csv(spec, first.manifest), first_csv.str());
+    EXPECT_EQ(replayed_csv(spec, replayed.manifest), replay_csv.str());
 }
 
 TEST(manifest_test, fingerprint_mismatch_hard_fails_with_diagnostic) {

@@ -1,16 +1,20 @@
 // Wire-format tests: JSON parse/dump round trips, the strictness contract
 // (truncated documents, trailing garbage, type mismatches all throw), exact
 // IEEE-754 bit survival for doubles (NaN payloads, infinities, denormals,
-// negative zero), unknown-field tolerance, and full codec round trips for
-// scenario / sweep_spec / sweep_row.
+// negative zero), unknown-field tolerance, full codec round trips for
+// scenario / sweep_spec / sweep_row, and the line framing over a socket.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/manifest.h"
@@ -510,6 +514,54 @@ TEST(Wire, SweepRowTruncatedLineRejected) {
     for (const std::size_t keep : {text.size() / 4, text.size() / 2, text.size() - 1}) {
         EXPECT_THROW((void)service::parse_json(text.substr(0, keep)), service::wire_error);
     }
+}
+
+// ----------------------------------------------------------------- framing --
+
+/// Write every byte of \p bytes to \p fd.
+void write_all(int fd, const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        sent += static_cast<std::size_t>(n);
+    }
+}
+
+TEST(Wire, LineReaderFramesASocketStream) {
+    int fd[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0);
+    service::line_reader reader(fd[0]);
+
+    // Several lines in one write, one of them empty.
+    write_all(fd[1], "first\n\nthird\n");
+    EXPECT_EQ(reader.next().value_or("<eof>"), "first");
+    EXPECT_EQ(reader.next().value_or("<eof>"), "");
+    EXPECT_EQ(reader.next().value_or("<eof>"), "third");
+
+    // A line split across recv calls (the reader blocks on its first half),
+    // then one longer than a recv chunk.
+    const std::string big(300'000, 'x');
+    std::thread writer([&] {
+        write_all(fd[1], "split-");
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        write_all(fd[1], "line\n" + big + "\n");
+    });
+    EXPECT_EQ(reader.next().value_or("<eof>"), "split-line");
+    EXPECT_EQ(reader.next().value_or("<eof>"), big);
+    writer.join();
+
+    // send_line frames exactly one dump per line.
+    json_value v = json_value::object();
+    v.set("event", json_value::string("done"));
+    ASSERT_TRUE(service::send_line(fd[1], v));
+    EXPECT_EQ(reader.next().value_or("<eof>"), service::dump(v));
+
+    // EOF in the middle of a line: the partial line is never returned.
+    write_all(fd[1], "unterminated");
+    ::close(fd[1]);
+    EXPECT_FALSE(reader.next().has_value());
+    ::close(fd[0]);
 }
 
 }  // namespace
